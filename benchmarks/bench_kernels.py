@@ -1,24 +1,15 @@
-"""Fused-kernel micro-benchmark: packed CSR base vs legacy tile dicts.
+"""Fused-kernel micro-benchmark: 2-layer window latency vs tiles touched.
 
-Measures the per-query wall time of 2-layer window queries as a function
-of *tiles touched* (window area sweep), once per storage backend.  The
-packed backend evaluates each query with the fused region kernels over
-the CSR base (:mod:`repro.grid.storage`); the legacy backend walks the
-per-tile dictionaries.  The gap is the PR's headline: Python/dict
-overhead per tile versus O(regions) vectorised passes, so the speedup
-should *grow* with the number of tiles a query touches.
-
-When the ``compiled`` extra (numba) is installed the sweep adds a third
-backend — ``storage="compiled"``, the jitted condition-major kernels of
-:mod:`repro.grid.kernels` — and gates it at a mean >= 5x over the
-vectorised packed tier (full scale only).  Without numba the compiled
-column simply does not exist: the series keys and params stay stable,
-so baseline comparisons never mix the two environments.
+Measures the per-query wall time of 2-layer window queries over the
+packed CSR base (:mod:`repro.grid.storage`) as a function of *tiles
+touched* (window area sweep).  The fused region kernels cost O(regions)
+vectorised passes, so latency should grow far slower than the number of
+tiles a query touches.
 """
 
 from __future__ import annotations
 
-import os
+import functools
 
 import pytest
 
@@ -30,34 +21,24 @@ from repro.bench import (
     window_workload,
 )
 from repro.core import TwoLayerGrid
-from repro.grid.kernels import compiled_available
 from repro.stats import QueryStats
 
 from _shared import emit_bench_record
 from conftest import report
 
-_STORAGES = ("packed", "legacy") + (
-    ("compiled",) if compiled_available() else ()
-)
-_MIN_COMPILED_SPEEDUP = 5.0
 #: window area sweep (% of the domain) — larger windows touch more tiles.
 _AREAS = (0.05, 0.1, 0.5, 1.0)
 _DATASET = "ROADS"
 
-_LATENCY: dict[tuple[str, str], float] = {}  # (storage, area label) -> µs
+_LATENCY: dict[str, float] = {}  # area label -> µs
 _TILES: dict[str, float] = {}  # area label -> mean tiles touched
 
-_INDEXES: dict[str, TwoLayerGrid] = {}
 
-
-def _index(storage: str) -> TwoLayerGrid:
-    if storage not in _INDEXES:
-        _INDEXES[storage] = TwoLayerGrid.build(
-            tiger_dataset(_DATASET),
-            partitions_per_dim=BEST_GRANULARITY,
-            storage=storage,
-        )
-    return _INDEXES[storage]
+@functools.cache
+def _index() -> TwoLayerGrid:
+    return TwoLayerGrid.build(
+        tiger_dataset(_DATASET), partitions_per_dim=BEST_GRANULARITY
+    )
 
 
 def _label(area: float) -> str:
@@ -65,9 +46,8 @@ def _label(area: float) -> str:
 
 
 @pytest.mark.parametrize("area", _AREAS)
-@pytest.mark.parametrize("storage", _STORAGES)
-def test_kernels_window_latency(benchmark, storage, area):
-    index = _index(storage)
+def test_kernels_window_latency(benchmark, area):
+    index = _index()
     queries = window_workload(_DATASET, area)
 
     def run():
@@ -76,83 +56,37 @@ def test_kernels_window_latency(benchmark, storage, area):
 
     benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     timed = throughput(index.window_query, queries, repeats=3)
-    _LATENCY[(storage, _label(area))] = 1e6 / timed.qps
-    if storage == "packed":
-        stats = QueryStats()
-        for w in queries:
-            index.window_query(w, stats)
-        _TILES[_label(area)] = stats.partitions_visited / len(queries)
+    _LATENCY[_label(area)] = 1e6 / timed.qps
+    stats = QueryStats()
+    for w in queries:
+        index.window_query(w, stats)
+    _TILES[_label(area)] = stats.partitions_visited / len(queries)
 
 
 def test_kernels_report(benchmark):
     """Assemble the latency-vs-tiles table and register the record."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    have_compiled = "compiled" in _STORAGES
-    rows = []
-    for area in _AREAS:
-        label = _label(area)
-        packed = _LATENCY[("packed", label)]
-        legacy = _LATENCY[("legacy", label)]
-        row = [label, _TILES[label], packed, legacy, legacy / packed]
-        if have_compiled:
-            compiled = _LATENCY[("compiled", label)]
-            row += [compiled, packed / compiled]
-        rows.append(row)
-    headers = ["area", "tiles", "packed µs", "legacy µs", "speedup"]
-    if have_compiled:
-        headers += ["compiled µs", "c-speedup"]
+    rows = [[_label(a), _TILES[_label(a)], _LATENCY[_label(a)]] for a in _AREAS]
     report(
         lambda: print_table(
             "Fused kernels — per-query latency [µs] vs tiles touched "
             f"(2-layer, {_DATASET}, window area sweep)",
-            headers,
+            ["area", "tiles", "packed µs"],
             rows,
         )
     )
-    # One series per backend: the who-wins ordering inside each series
-    # (bigger windows are slower) is scale-stable, so the regression
-    # gate never trips on smoke-scale CI runs.  The compiled series
-    # exists only where numba does — keeps numba-free baselines
-    # comparable to numba-free runs.
-    series = {
-        "packed_latency_us": {
-            _label(a): _LATENCY[("packed", _label(a))] for a in _AREAS
-        },
-        "legacy_latency_us": {
-            _label(a): _LATENCY[("legacy", _label(a))] for a in _AREAS
-        },
-        "tiles_touched": dict(_TILES),
-    }
-    if have_compiled:
-        series["compiled_latency_us"] = {
-            _label(a): _LATENCY[("compiled", _label(a))] for a in _AREAS
-        }
+    # The who-wins ordering inside the series (bigger windows are
+    # slower) is scale-stable, so the regression gate never trips on
+    # smoke-scale CI runs.
     emit_bench_record(
         "kernels",
         {
             "dataset": _DATASET,
             "granularity": BEST_GRANULARITY,
             "window_area_pct": list(_AREAS),
-            "storages": list(_STORAGES),
         },
-        series,
+        {
+            "packed_latency_us": dict(_LATENCY),
+            "tiles_touched": dict(_TILES),
+        },
     )
-    # Shape assertion at full scale only: tiny smoke datasets leave too
-    # little per-tile work for the fused kernels to amortise reliably.
-    scale = float(os.environ.get("REPRO_BENCH_SCALE") or 1.0)
-    if scale >= 0.01:
-        for area in _AREAS:
-            label = _label(area)
-            assert _LATENCY[("packed", label)] < _LATENCY[("legacy", label)], (
-                f"packed must beat legacy at {label}"
-            )
-        if have_compiled:
-            mean_speedup = sum(
-                _LATENCY[("packed", _label(a))]
-                / _LATENCY[("compiled", _label(a))]
-                for a in _AREAS
-            ) / len(_AREAS)
-            assert mean_speedup >= _MIN_COMPILED_SPEEDUP, (
-                f"compiled tier {mean_speedup:.1f}x over packed, "
-                f"gate is {_MIN_COMPILED_SPEEDUP:.0f}x"
-            )

@@ -8,7 +8,7 @@ REP001   no float ``==``/``!=`` against float literals in geometry code
 REP002   no blocking calls / heavy numpy builds inside ``async def``
 REP003   no ``await`` or blocking I/O while holding a ``threading.Lock``
 REP004   comparing kernels must thread ``QueryStats`` (EXPLAIN parity)
-REP005   grid query/update methods must serve both storage backends
+REP005   grid query/update methods must serve base and delta overlay
 REP006   no module-level mutable state in ``repro.shard`` worker code
 REP007   no raw index-file opens without the format-version check
 REP101   no bare ``except:``
@@ -336,11 +336,10 @@ class StatsThreadingRule(LintRule):
 
 
 class BackendParityRule(LintRule):
-    """A public query/update method on a dual-backend grid class reaches
-    only one of the packed base (``_store``) / tile-dict overlay
-    (``_tiles``) — under the other storage mode it silently misses rows.
-    Every public read path must consult both; ``delete``/``compact``
-    must maintain both."""
+    """A public query/update method on a grid class reaches only one of
+    the packed base (``_store``) / delta overlay (``_tiles``) — it then
+    silently misses the rows held by the other.  Every public read path
+    must consult both; ``delete``/``compact`` must maintain both."""
 
     code = "REP005"
     name = "packed-legacy-parity"
@@ -400,7 +399,7 @@ class BackendParityRule(LintRule):
                 if not store and not tiles:
                     continue  # backend-independent helper
                 if name == "insert":
-                    # inserts land in the delta overlay on both backends
+                    # inserts land in the delta overlay, never the base
                     missing = None if tiles else "_tiles"
                 elif store and tiles:
                     missing = None
@@ -413,8 +412,8 @@ class BackendParityRule(LintRule):
                         fn,
                         f"{cls.name}.{name} reaches {present} but never "
                         f"{missing}; the "
-                        f"{'legacy' if missing == '_tiles' else 'packed'} "
-                        "backend would be ignored",
+                        f"{'delta overlay' if missing == '_tiles' else 'packed base'}"
+                        " would be ignored",
                     )
 
 

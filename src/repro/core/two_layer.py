@@ -12,30 +12,21 @@ tile per dimension also intersects the disk, report fully-covered tiles
 without distance tests, and resolve the residual boundary-arc duplicates
 of classes B/D with a constant-time canonical-tile test.
 
-Storage backends
-----------------
+Storage
+-------
 
-Two physical layouts sit behind one logical index (``storage=`` or the
-``REPRO_PACKED`` environment variable picks one; see
-:mod:`repro.grid.storage`):
-
-* **packed** (default) — the bulk-loaded base lives in one CSR
-  :class:`~repro.grid.storage.PackedStore` keyed by fused
-  ``(tile, class)``; queries run *fused kernels* that decompose the tile
-  range into plan-uniform regions (:func:`~repro.core.selection
-  .window_regions`) and evaluate each region's class with a single
-  offsets walk + one vectorised comparison over the stitched rows — no
-  Python-per-tile loop.  Inserts land in a per-tile *delta overlay* of
-  :class:`~repro.grid.storage.TileTable` (O(1), Table VI); deletes
-  tombstone base rows in place; :meth:`compact` folds both back into a
-  fresh base.  Compaction is always explicit — queries never trigger it,
-  so published snapshots can share the base by reference.
-* **legacy** — everything in the per-tile dict of ``TileTable`` lists,
-  scanned tile by tile.  Kept as the parity baseline the property tests
-  compare against.
-
-Both backends produce identical result sets and identical
-QueryStats/EXPLAIN accounting.
+The bulk-loaded base lives in one CSR
+:class:`~repro.grid.storage.PackedStore` keyed by fused ``(tile, class)``
+(see :mod:`repro.grid.storage`); queries run *fused kernels* that
+decompose the tile range into plan-uniform regions
+(:func:`~repro.core.selection.window_regions`) and evaluate each
+region's class with a single offsets walk + one vectorised comparison
+over the stitched rows — no Python-per-tile loop.  Inserts land in a
+per-tile *delta overlay* of :class:`~repro.grid.storage.TileTable`
+(O(1), Table VI) that the kernels scan tile by tile; deletes tombstone
+base rows in place; :meth:`compact` folds both back into a fresh base.
+Compaction is always explicit — queries never trigger it, so published
+snapshots can share the base by reference.
 """
 
 from __future__ import annotations
@@ -58,14 +49,7 @@ from repro.grid.base import (
     GridPartitioner,
     replicate,
 )
-from repro.grid import kernels as _kernels
-from repro.grid.storage import (
-    PackedStore,
-    TileTable,
-    group_rows,
-    ranges_to_rows,
-    resolve_storage_mode,
-)
+from repro.grid.storage import PackedStore, TileTable, ranges_to_rows
 from repro.core.selection import ClassPlan, TilePlan, plan_tile, window_regions
 from repro.obs.tracing import active as tracing_active, span as trace_span
 from repro.stats import QueryStats
@@ -109,34 +93,19 @@ class TwoLayerGrid:
     #: never generated.  EXPLAIN uses this to pick its accounting mode.
     dedup_strategy = "avoid"
 
-    def __init__(self, grid: GridPartitioner, storage: "str | None" = None):
+    def __init__(self, grid: GridPartitioner):
         self.grid = grid
-        self._packed = resolve_storage_mode(storage)
-        #: compiled (numba) kernel tier for the stats-free hot routes;
-        #: False whenever numba is missing (silent vectorised fallback).
-        self._use_compiled = self._packed and _kernels.resolve_kernel_mode(storage)
-        #: the immutable CSR base (packed backend; None until bulk load).
+        #: the immutable CSR base (None until bulk load or compact).
         self._store: "PackedStore | None" = None
-        #: tile id -> [table or None] indexed by class code.  The whole
-        #: index under the legacy backend; the mutable delta overlay on
-        #: top of the packed base otherwise.
+        #: tile id -> [table or None] indexed by class code: the mutable
+        #: delta overlay on top of the packed base.
         self._tiles: dict[int, list["TileTable | None"]] = {}
         self._n_objects = 0
         #: lazy per-row query matrix + per-tile row extents for the
-        #: single-comparison window kernel (packed backend only; rebuilt
-        #: on :meth:`compact`, shared by reference across snapshot forks).
+        #: single-comparison window kernel (rebuilt on :meth:`compact`,
+        #: shared by reference across snapshot forks).
         self._fast_q: "np.ndarray | None" = None
         self._tile_row_bounds: "np.ndarray | None" = None
-
-    @property
-    def storage(self) -> str:
-        """The physical backend: ``"packed"`` or ``"legacy"``."""
-        return "packed" if self._packed else "legacy"
-
-    @property
-    def kernel_mode(self) -> str:
-        """``"compiled"`` (numba tier active) or ``"vectorized"``."""
-        return "compiled" if self._use_compiled else "vectorized"
 
     # -- construction ----------------------------------------------------
 
@@ -146,7 +115,6 @@ class TwoLayerGrid:
         data: RectDataset,
         partitions_per_dim: int = 128,
         domain: "Rect | None" = None,
-        storage: "str | None" = None,
     ) -> "TwoLayerGrid":
         """Bulk-load from a dataset (square N x N grid, like the paper)."""
         grid = GridPartitioner(
@@ -154,7 +122,7 @@ class TwoLayerGrid:
             partitions_per_dim,
             domain if domain is not None else Rect(0.0, 0.0, 1.0, 1.0),
         )
-        index = cls(grid, storage=storage)
+        index = cls(grid)
         index._bulk_load(data)
         return index
 
@@ -162,41 +130,24 @@ class TwoLayerGrid:
         rep = replicate(data, self.grid)
         # Fuse tile id and class code into one sort key; group once.
         keys = rep.tile_ids * 4 + rep.class_codes
-        if self._packed:
-            obj = rep.obj_ids
-            self._store = PackedStore.from_rows(
-                4 * self.grid.nx * self.grid.ny,
-                4,
-                keys,
-                data.xl[obj],
-                data.yl[obj],
-                data.xu[obj],
-                data.yu[obj],
-                obj.astype(np.int64, copy=False),
-            )
-        else:
-            for key, rows in group_rows(keys):
-                tile_id, code = divmod(key, 4)
-                obj = rep.obj_ids[rows]
-                tables = self._tiles.get(tile_id)
-                if tables is None:
-                    tables = [None, None, None, None]
-                    self._tiles[tile_id] = tables
-                tables[code] = TileTable(
-                    data.xl[obj].copy(),
-                    data.yl[obj].copy(),
-                    data.xu[obj].copy(),
-                    data.yu[obj].copy(),
-                    obj.copy(),
-                )
+        obj = rep.obj_ids
+        self._store = PackedStore.from_rows(
+            4 * self.grid.nx * self.grid.ny,
+            4,
+            keys,
+            data.xl[obj],
+            data.yl[obj],
+            data.xu[obj],
+            data.yu[obj],
+            obj.astype(np.int64, copy=False),
+        )
         self._n_objects = len(data)
 
     def insert(self, rect: Rect, obj_id: "int | None" = None) -> int:
         """Insert one object; its class is determined per overlapped tile.
 
-        O(1) per replica under both backends: the packed base is never
-        rebuilt — new entries go to the delta overlay until
-        :meth:`compact`.
+        O(1) per replica: the packed base is never rebuilt — new entries
+        go to the delta overlay until :meth:`compact`.
         """
         if obj_id is None:
             obj_id = self._n_objects
@@ -260,11 +211,8 @@ class TwoLayerGrid:
         Explicitly invoked only — queries and updates never compact, so a
         published snapshot's base is safe to share across threads.  Until
         compaction, query cost degrades gracefully: delta tiles are
-        scanned tile-by-tile exactly like the legacy backend.  No-op for
-        the legacy backend (its tables fold lazily on read).
+        scanned tile by tile.
         """
-        if not self._packed:
-            return
         parts_keys: list[np.ndarray] = []
         parts_cols: list[tuple[np.ndarray, ...]] = []
         if self._store is not None:
@@ -377,6 +325,26 @@ class TwoLayerGrid:
             + np.arange(ax, bx + 1, dtype=np.int64)[None, :]
         ).ravel()
 
+    def _row_slab(self) -> tuple[int, int]:
+        """Base rows ``[row_lo, row_hi)`` the fast window kernel reads.
+
+        The whole store; banded subclasses narrow it to their band's
+        contiguous CSR slab (a tile band is one run of rows).
+        """
+        return 0, self._store.n_rows
+
+    def _base_regions(
+        self, ix0: int, ix1: int, iy0: int, iy1: int
+    ) -> list[tuple[int, int, int, int, TilePlan]]:
+        """Plan-uniform regions the fused kernels walk over the base.
+
+        Empty without a base: an index grown by inserts alone keeps every
+        live row in the delta overlay, which the kernels scan per tile.
+        """
+        if self._store is None:
+            return []
+        return window_regions(ix0, ix1, iy0, iy1)
+
     def _on_window_result(self, window: Rect, out: np.ndarray) -> None:
         """Post-query hook: sampled sanitizer cross-check of a result.
 
@@ -396,7 +364,7 @@ class TwoLayerGrid:
         by reference; subclasses override so forks keep their type (and
         any extra state such as a shard band).
         """
-        return type(self)(self.grid, storage=self.storage)
+        return type(self)(self.grid)
 
     def _delta_tiles_in_range(
         self, ix0: int, ix1: int, iy0: int, iy1: int
@@ -496,19 +464,15 @@ class TwoLayerGrid:
     def tile_class_table(self, ix: int, iy: int, code: int) -> "TileTable | None":
         """Raw secondary-partition storage (testing / inspection only).
 
-        Under the packed backend the returned table is a merged
-        *read-only view* of base + delta; mutate the index through
-        :meth:`insert`/:meth:`delete`, never through this table.
+        The returned table is a merged *read-only view* of base + delta;
+        mutate the index through :meth:`insert`/:meth:`delete`, never
+        through this table.
         """
         if not (0 <= ix < self.grid.nx and 0 <= iy < self.grid.ny):
             raise IndexStateError(f"tile ({ix}, {iy}) outside the grid")
         if code not in (CLASS_A, CLASS_B, CLASS_C, CLASS_D):
             raise IndexStateError(f"invalid class code {code}")
-        tile_id = self.grid.tile_id(ix, iy)
-        if self._store is None:
-            tables = self._tiles.get(tile_id)
-            return None if tables is None else tables[code]
-        cols = self._partition_columns(tile_id, code)
+        cols = self._partition_columns(self.grid.tile_id(ix, iy), code)
         return None if cols is None else TileTable(*cols)
 
     def explain_partitions(
@@ -586,19 +550,7 @@ class TwoLayerGrid:
                 ix0, ix1, iy0, iy1 = self.grid.tile_range_for_window(window)
             pieces: list[np.ndarray] = []
             with trace_span("filter.scan"):
-                if self._store is not None:
-                    self._fused_window(window, ix0, ix1, iy0, iy1, pieces, stats)
-                else:
-                    tiles = self._tiles
-                    for iy in range(iy0, iy1 + 1):
-                        base = iy * self.grid.nx
-                        for ix in range(ix0, ix1 + 1):
-                            if base + ix not in tiles:
-                                continue
-                            plan = plan_tile(ix, iy, ix0, ix1, iy0, iy1)
-                            self._scan_tile_window(
-                                base + ix, window, plan, pieces, stats
-                            )
+                self._fused_window(window, ix0, ix1, iy0, iy1, pieces, stats)
             with trace_span("dedup"):
                 pass  # duplicate-free by construction (Lemmas 1-2)
             out = np.concatenate(pieces) if pieces else _EMPTY_IDS
@@ -615,7 +567,7 @@ class TwoLayerGrid:
         pieces: list[np.ndarray],
         stats: "QueryStats | None" = None,
     ) -> None:
-        """Packed-backend window kernel: one pass per (region, class).
+        """Window kernel: one pass per (region, class).
 
         The tile range decomposes into at most 9 plan-uniform regions;
         within a region each scanned class is one offsets walk over the
@@ -623,14 +575,19 @@ class TwoLayerGrid:
         the Python cost is O(regions · classes), not O(tiles).  Overlay
         tiles fall back to the per-tile scan.
         """
-        if stats is None and not self._tiles and not self._store.n_dead:
+        store = self._store
+        if (
+            stats is None
+            and not self._tiles
+            and store is not None
+            and not store.n_dead
+        ):
             pieces.append(self._fused_window_fast(window, ix0, ix1, iy0, iy1))
             return
-        store = self._store
         nx = self.grid.nx
         delta = self._delta_tiles_in_range(ix0, ix1, iy0, iy1)
         delta_arr = np.asarray(delta, dtype=np.int64) if delta else None
-        for ax, bx, ay, by, plan in window_regions(ix0, ix1, iy0, iy1):
+        for ax, bx, ay, by, plan in self._base_regions(ix0, ix1, iy0, iy1):
             tids = self._region_tids(ax, bx, ay, by)
             if delta_arr is not None:
                 tids = tids[~np.isin(tids, delta_arr)]
@@ -740,27 +697,12 @@ class TwoLayerGrid:
         comparisons are applied to every scanned row; the ones §IV-B
         proves redundant are tautologies there, so the result set is
         identical (the stats-carrying kernel keeps the exact per-class
-        comparison accounting).
+        comparison accounting).  Each slab is clamped to
+        :meth:`_row_slab`, the base rows this index answers for.
         """
         q = self._fast_q
         if q is None:
             q = self._build_fast_q()
-        if self._use_compiled:
-            return _kernels.window_scan(
-                q,
-                self._store.ids,
-                self._store.offsets,
-                4,
-                self.grid.nx,
-                ix0,
-                iy0,
-                iy1,
-                ix1 - ix0 + 1,
-                np.array(
-                    [window.xl, -window.xu, window.yl, -window.yu,
-                     float(-ix0), float(-iy0)]
-                ),
-            )
         tb = self._tile_row_bounds
         if tb is None:
             # A memmap-loaded index ships its query matrix but derives
@@ -768,6 +710,7 @@ class TwoLayerGrid:
             # offsets slab in before the first query).
             tb = self._tile_row_bounds = self._store.offsets[::4].tolist()
         ids = self._store.ids
+        row_lo, row_hi = self._row_slab()
         ge = np.greater_equal
         band = np.logical_and.reduce
         bounds = np.array(
@@ -781,7 +724,11 @@ class TwoLayerGrid:
             s0 = tb[lo]
             s1 = tb[lo + width]
             lo += self.grid.nx
-            if s0 == s1:
+            if s0 < row_lo:
+                s0 = row_lo
+            if s1 > row_hi:
+                s1 = row_hi
+            if s0 >= s1:
                 continue
             keep = band(ge(q[:, s0:s1], bounds), axis=0)
             pieces.append(ids[s0:s1][keep])
@@ -802,16 +749,11 @@ class TwoLayerGrid:
         """Scan one tile's relevant secondary partitions for one window.
 
         Appends the qualifying id arrays to ``pieces``.  Shared by the
-        per-tile paths (legacy backend, overlay tiles) and the
-        tiles-based batch evaluator (:mod:`repro.core.batch`), whose
-        subtasks are exactly calls of this method.
+        overlay-tile path of :meth:`_fused_window` and the tiles-based
+        batch evaluator (:mod:`repro.core.batch`), whose subtasks are
+        exactly calls of this method.
         """
-        if self._store is None:
-            if tile_id not in self._tiles:
-                return
-            if stats is not None:
-                stats.partitions_visited += 1
-        elif stats is not None:
+        if stats is not None:
             if not self._tile_has_rows(tile_id):
                 return
             stats.partitions_visited += 1
@@ -843,29 +785,19 @@ class TwoLayerGrid:
         Each item is ``(tile_plan, class_plan, columns, mask, ids)`` where
         ``mask`` is the boolean qualification mask over the chunk
         (``None`` means *all* rectangles qualify — the covered case).
-        Under the packed backend a chunk is a whole (region, class) of the
-        fused kernel; under the legacy backend one (tile, class).  The
-        refinement machinery consumes the full tuples; plain filtering
-        only uses ``mask``/``ids``.
+        A base chunk is a whole (region, class) of the fused kernel; an
+        overlay chunk is one (tile, class).  The refinement machinery
+        consumes the full tuples; plain filtering only uses
+        ``mask``/``ids``.
         """
         if self._n_objects == 0:
             return
         ix0, ix1, iy0, iy1 = self.grid.tile_range_for_window(window)
         store = self._store
-        if store is None:
-            tiles = self._tiles
-            for iy in range(iy0, iy1 + 1):
-                base = iy * self.grid.nx
-                for ix in range(ix0, ix1 + 1):
-                    if base + ix not in tiles:
-                        continue
-                    plan = plan_tile(ix, iy, ix0, ix1, iy0, iy1)
-                    yield from self._tile_chunks(base + ix, window, plan, stats)
-            return
         nx = self.grid.nx
         delta = self._delta_tiles_in_range(ix0, ix1, iy0, iy1)
         delta_arr = np.asarray(delta, dtype=np.int64) if delta else None
-        for ax, bx, ay, by, plan in window_regions(ix0, ix1, iy0, iy1):
+        for ax, bx, ay, by, plan in self._base_regions(ix0, ix1, iy0, iy1):
             tids = self._region_tids(ax, bx, ay, by)
             if delta_arr is not None:
                 tids = tids[~np.isin(tids, delta_arr)]
@@ -911,7 +843,7 @@ class TwoLayerGrid:
     ]:
         """Per-tile chunk generator behind :meth:`_window_chunks`."""
         if stats is not None:
-            if self._store is not None and not self._tile_has_rows(tile_id):
+            if not self._tile_has_rows(tile_id):
                 return
             stats.partitions_visited += 1
         for cp in plan.classes:
@@ -949,20 +881,7 @@ class TwoLayerGrid:
                 ix0, ix1, iy0, iy1 = self.grid.tile_range_for_window(window)
             pieces: list[np.ndarray] = []
             with trace_span("filter.scan"):
-                if self._store is not None:
-                    self._fused_within(window, ix0, ix1, iy0, iy1, pieces, stats)
-                else:
-                    for iy in range(iy0, iy1 + 1):
-                        base = iy * self.grid.nx
-                        for ix in range(ix0, ix1 + 1):
-                            self._scan_tile_within(
-                                base + ix,
-                                window,
-                                ix == ix0,
-                                iy == iy0,
-                                pieces,
-                                stats,
-                            )
+                self._fused_within(window, ix0, ix1, iy0, iy1, pieces, stats)
             with trace_span("dedup"):
                 pass  # class A only — each object appears once
             if not pieces:
@@ -979,12 +898,12 @@ class TwoLayerGrid:
         pieces: list[np.ndarray],
         stats: "QueryStats | None" = None,
     ) -> None:
-        """Packed-backend "within" kernel: class A per plan-uniform region."""
+        """The "within" kernel: class A per plan-uniform base region."""
         store = self._store
         nx = self.grid.nx
         delta = self._delta_tiles_in_range(ix0, ix1, iy0, iy1)
         delta_arr = np.asarray(delta, dtype=np.int64) if delta else None
-        for ax, bx, ay, by, plan in window_regions(ix0, ix1, iy0, iy1):
+        for ax, bx, ay, by, plan in self._base_regions(ix0, ix1, iy0, iy1):
             tids = self._region_tids(ax, bx, ay, by)
             if delta_arr is not None:
                 tids = tids[~np.isin(tids, delta_arr)]
@@ -1056,39 +975,8 @@ class TwoLayerGrid:
         pieces.append(ids[mask])
 
     def count_window(self, window: Rect) -> int:
-        """Number of results of a window query (no id materialisation)."""
-        if (
-            self._use_compiled
-            and self._store is not None
-            and not self._tiles
-            and not self._store.n_dead
-            and tracing_active() is None
-            and self._n_objects
-        ):
-            ix0, ix1, iy0, iy1 = self.grid.tile_range_for_window(window)
-            q = self._fast_q
-            if q is None:
-                q = self._build_fast_q()
-            return int(
-                _kernels.window_count(
-                    q,
-                    self._store.offsets,
-                    4,
-                    self.grid.nx,
-                    ix0,
-                    iy0,
-                    iy1,
-                    ix1 - ix0 + 1,
-                    np.array(
-                        [window.xl, -window.xu, window.yl, -window.yu,
-                         float(-ix0), float(-iy0)]
-                    ),
-                )
-            )
-        total = 0
-        for _plan, _cp, _cols, mask, ids in self._window_chunks(window):
-            total += ids.shape[0] if mask is None else int(np.count_nonzero(mask))
-        return total
+        """Number of results of a window query (shares the window kernel)."""
+        return int(self.window_query(window).shape[0])
 
     # -- disk queries -------------------------------------------------------------
 
@@ -1107,56 +995,12 @@ class TwoLayerGrid:
         """
         if self._n_objects == 0:
             return _EMPTY_IDS
-        if (
-            stats is None
-            and self._use_compiled
-            and self._store is not None
-            and not self._tiles
-            and not self._store.n_dead
-            and tracing_active() is None
-        ):
-            # Compiled §IV-E scan: planning (disk spans), class skipping,
-            # covered-tile shortcut, distance tests and the canonical
-            # B/D dedup all run in one jitted pass over the CSR slabs.
-            g = self.grid
-            ix0, ix1, iy0, iy1 = g.tile_range_for_window(query.mbr())
-            store = self._store
-            return _kernels.disk_scan(
-                store.offsets,
-                store.xl,
-                store.yl,
-                store.xu,
-                store.yu,
-                store.ids,
-                g.nx,
-                g.ny,
-                g.domain.xl,
-                g.domain.yl,
-                g.tile_w,
-                g.tile_h,
-                ix0,
-                ix1,
-                iy0,
-                iy1,
-                query.cx,
-                query.cy,
-                query.radius,
-            )
         with trace_span("query.disk"):
             with trace_span("filter.lookup"):
                 row_span, tile_jobs = self._disk_plan(query)
             pieces: list[np.ndarray] = []
             with trace_span("filter.scan"):
-                if self._store is not None:
-                    self._fused_disk(query, row_span, tile_jobs, pieces, stats)
-                else:
-                    tiles = self._tiles
-                    for tile_id, codes, covered, iy in tile_jobs:
-                        if tile_id not in tiles:
-                            continue
-                        self._scan_tile_disk(
-                            tile_id, query, codes, covered, iy, row_span, pieces, stats
-                        )
+                self._fused_disk(query, row_span, tile_jobs, pieces, stats)
             with trace_span("dedup"):
                 pass  # residual B/D duplicates removed in-scan (canonical tile)
             if not pieces:
@@ -1221,7 +1065,7 @@ class TwoLayerGrid:
         pieces: list[np.ndarray],
         stats: "QueryStats | None" = None,
     ) -> None:
-        """Packed-backend disk kernel: jobs batched by (class, coverage).
+        """Disk kernel: jobs batched by (class, coverage).
 
         All tiles scanning the same class with the same coverage status
         are gathered and distance-tested in one vectorised pass; the
@@ -1236,7 +1080,7 @@ class TwoLayerGrid:
         delta_jobs = []
         for job in tile_jobs:
             (delta_jobs if job[0] in self._tiles else fused_jobs).append(job)
-        if fused_jobs:
+        if store is not None and fused_jobs:
             if stats is not None:
                 tids_all = np.asarray([j[0] for j in fused_jobs], dtype=np.int64)
                 tile_tot = self._tile_live_counts(tids_all)
@@ -1320,12 +1164,7 @@ class TwoLayerGrid:
         """Scan one tile's relevant classes for one disk query."""
         radius = query.radius
         cx, cy = query.cx, query.cy
-        if self._store is None:
-            if tile_id not in self._tiles:
-                return
-            if stats is not None:
-                stats.partitions_visited += 1
-        elif stats is not None:
+        if stats is not None:
             if not self._tile_has_rows(tile_id):
                 return
             stats.partitions_visited += 1

@@ -73,9 +73,8 @@ class TwoLayerPlusGrid(TwoLayerGrid):
         self,
         grid: GridPartitioner,
         multi_comparison_strategy: str = "auto",
-        storage: "str | None" = None,
     ):
-        super().__init__(grid, storage=storage)
+        super().__init__(grid)
         if multi_comparison_strategy not in MULTI_COMPARISON_STRATEGIES:
             raise ValueError(
                 f"unknown strategy {multi_comparison_strategy!r}; "
@@ -109,7 +108,6 @@ class TwoLayerPlusGrid(TwoLayerGrid):
         partitions_per_dim: int = 128,
         domain: "Rect | None" = None,
         multi_comparison_strategy: str = "auto",
-        storage: "str | None" = None,
     ) -> "TwoLayerPlusGrid":
         """Bulk-load from a dataset (square N x N grid, like the paper)."""
         from repro.grid.base import GridPartitioner
@@ -119,11 +117,7 @@ class TwoLayerPlusGrid(TwoLayerGrid):
             partitions_per_dim,
             domain if domain is not None else Rect(0.0, 0.0, 1.0, 1.0),
         )
-        index = cls(
-            grid,
-            multi_comparison_strategy=multi_comparison_strategy,
-            storage=storage,
-        )
+        index = cls(grid, multi_comparison_strategy=multi_comparison_strategy)
         index._bulk_load(data)
         return index
 
@@ -133,19 +127,12 @@ class TwoLayerPlusGrid(TwoLayerGrid):
         self._g_yl = data.yl.copy()
         self._g_xu = data.xu.copy()
         self._g_yu = data.yu.copy()
-        if self._store is not None:
-            for key in np.flatnonzero(self._store.group_counts()):
-                tile_id, code = divmod(int(key), 4)
-                cols = self._store.group_columns(int(key))
-                self._decomposed[(tile_id, code)] = DecomposedTables(*cols, code)
-        else:
-            for tile_id, tables in self._tiles.items():
-                for code, table in enumerate(tables):
-                    if table is not None:
-                        xl, yl, xu, yu, ids = table.columns()
-                        self._decomposed[(tile_id, code)] = DecomposedTables(
-                            xl, yl, xu, yu, ids, code
-                        )
+        store = self._store
+        assert store is not None
+        for key in np.flatnonzero(store.group_counts()):
+            tile_id, code = divmod(int(key), 4)
+            cols = store.group_columns(int(key))
+            self._decomposed[(tile_id, code)] = DecomposedTables(*cols, code)
 
     def insert(self, rect: Rect, obj_id: "int | None" = None) -> int:
         obj_id = super().insert(rect, obj_id)
@@ -274,19 +261,7 @@ class TwoLayerPlusGrid(TwoLayerGrid):
             and not self._store.n_dead
             and tracing_active() is None
         ):
-            g = self.grid
-            d = g.domain
-            ix0 = int((window.xl - d.xl) / g.tile_w)
-            ix1 = int((window.xu - d.xl) / g.tile_w)
-            iy0 = int((window.yl - d.yl) / g.tile_h)
-            iy1 = int((window.yu - d.yl) / g.tile_h)
-            last = g.nx - 1
-            ix0 = 0 if ix0 < 0 else (last if ix0 > last else ix0)
-            ix1 = 0 if ix1 < 0 else (last if ix1 > last else ix1)
-            last = g.ny - 1
-            iy0 = 0 if iy0 < 0 else (last if iy0 > last else iy0)
-            iy1 = 0 if iy1 < 0 else (last if iy1 > last else iy1)
-            return self._fused_window_fast(window, ix0, ix1, iy0, iy1)
+            return super().window_query(window)
         with trace_span("query.window"):
             return self._window_query_traced(window, stats)
 

@@ -10,6 +10,9 @@ active-border method of Aref & Samet [2].
 
 Comparing this index against :class:`repro.core.two_layer.TwoLayerGrid`
 isolates exactly the contribution of the paper's secondary partitioning.
+Storage mirrors it: a packed CSR base with one group per tile, plus a
+per-tile :class:`~repro.grid.storage.TileTable` delta overlay for inserts
+(see :mod:`repro.grid.storage`).
 """
 
 from __future__ import annotations
@@ -23,13 +26,7 @@ from repro.errors import IndexStateError, InvalidGridError
 from repro.geometry.mbr import Rect, max_dist_point_rect
 from repro.grid.base import GridPartitioner, replicate
 from repro.grid.dedup import ActiveBorder, reference_point_keep_mask
-from repro.grid import kernels as _kernels
-from repro.grid.storage import (
-    PackedStore,
-    TileTable,
-    group_rows,
-    resolve_storage_mode,
-)
+from repro.grid.storage import PackedStore, TileTable
 from repro.obs.tracing import active as tracing_active, span as trace_span
 from repro.stats import QueryStats
 
@@ -62,7 +59,6 @@ class OneLayerGrid:
         self,
         grid: GridPartitioner,
         dedup: str = "refpoint",
-        storage: "str | None" = None,
     ):
         if dedup not in DEDUP_METHODS:
             raise InvalidGridError(
@@ -70,30 +66,16 @@ class OneLayerGrid:
             )
         self.grid = grid
         self.dedup = dedup
-        self._packed = resolve_storage_mode(storage)
-        self._use_compiled = self._packed and _kernels.resolve_kernel_mode(
-            storage
-        )
-        #: the CSR base (packed backend, one group per tile; None until
-        #: bulk load).
+        #: the CSR base (one group per tile; None until bulk load or
+        #: compact).
         self._store: "PackedStore | None" = None
-        #: the whole index (legacy backend) / delta overlay (packed).
+        #: the delta overlay: tile id -> inserted rows.
         self._tiles: dict[int, TileTable] = {}
         self._n_objects = 0
         # Lazy per-row query matrix + per-tile row extents (packed base
         # only); rebuilt after compact().
         self._fast_q: "np.ndarray | None" = None
         self._tile_row_bounds: "list[int] | None" = None
-
-    @property
-    def storage(self) -> str:
-        """The physical backend: ``"packed"`` or ``"legacy"``."""
-        return "packed" if self._packed else "legacy"
-
-    @property
-    def kernel_mode(self) -> str:
-        """The fast-path kernel tier: ``"compiled"`` or ``"vectorized"``."""
-        return "compiled" if self._use_compiled else "vectorized"
 
     # -- construction ------------------------------------------------------
 
@@ -104,7 +86,6 @@ class OneLayerGrid:
         partitions_per_dim: int = 128,
         domain: "Rect | None" = None,
         dedup: str = "refpoint",
-        storage: "str | None" = None,
     ) -> "OneLayerGrid":
         """Bulk-load the grid from a dataset.
 
@@ -116,34 +97,23 @@ class OneLayerGrid:
             partitions_per_dim,
             domain if domain is not None else Rect(0.0, 0.0, 1.0, 1.0),
         )
-        index = cls(grid, dedup=dedup, storage=storage)
+        index = cls(grid, dedup=dedup)
         index._bulk_load(data)
         return index
 
     def _bulk_load(self, data: RectDataset) -> None:
         rep = replicate(data, self.grid)
-        if self._packed:
-            obj = rep.obj_ids
-            self._store = PackedStore.from_rows(
-                self.grid.nx * self.grid.ny,
-                1,
-                rep.tile_ids,
-                data.xl[obj],
-                data.yl[obj],
-                data.xu[obj],
-                data.yu[obj],
-                obj.astype(np.int64, copy=False),
-            )
-        else:
-            for tile_id, rows in group_rows(rep.tile_ids):
-                obj = rep.obj_ids[rows]
-                self._tiles[tile_id] = TileTable(
-                    data.xl[obj].copy(),
-                    data.yl[obj].copy(),
-                    data.xu[obj].copy(),
-                    data.yu[obj].copy(),
-                    obj.copy(),
-                )
+        obj = rep.obj_ids
+        self._store = PackedStore.from_rows(
+            self.grid.nx * self.grid.ny,
+            1,
+            rep.tile_ids,
+            data.xl[obj],
+            data.yl[obj],
+            data.xu[obj],
+            data.yu[obj],
+            obj.astype(np.int64, copy=False),
+        )
         self._n_objects = len(data)
 
     def insert(self, rect: Rect, obj_id: "int | None" = None) -> int:
@@ -243,11 +213,8 @@ class OneLayerGrid:
     def compact(self) -> None:
         """Fold the delta overlay and tombstones into a fresh packed base.
 
-        Explicit only, mirroring :meth:`TwoLayerGrid.compact`; no-op for
-        the legacy backend.
+        Explicit only, mirroring :meth:`TwoLayerGrid.compact`.
         """
-        if not self._packed:
-            return
         parts_keys: list[np.ndarray] = []
         parts_cols: list[tuple[np.ndarray, ...]] = []
         if self._store is not None:
@@ -439,42 +406,6 @@ class OneLayerGrid:
         q = self._fast_q
         if q is None:
             q = self._build_fast_q()
-        if self._use_compiled:
-            store = self._store
-            width = ix1 - ix0 + 1
-            if self.dedup == "refpoint":
-                bounds = np.array(
-                    [
-                        window.xl,
-                        -window.xu,
-                        window.yl,
-                        -window.yu,
-                        float(-(ix0 - 1)),
-                        float(-ix0),
-                        float(-(iy0 - 1)),
-                        float(-iy0),
-                    ]
-                )
-            else:  # hash: plain intersection, terminal dedup below
-                q = q[:4]
-                bounds = np.array(
-                    [window.xl, -window.xu, window.yl, -window.yu]
-                )
-            out = _kernels.window_scan(
-                q,
-                store.ids,
-                store.offsets,
-                1,
-                self.grid.nx,
-                ix0,
-                iy0,
-                iy1,
-                width,
-                bounds,
-            )
-            if self.dedup == "hash":
-                return np.unique(out)
-            return out
         tb = self._tile_row_bounds
         if tb is None:
             # Memmap-loaded indexes defer this materialisation so loading
@@ -528,74 +459,89 @@ class OneLayerGrid:
         iy1: int,
         stats: "QueryStats | None",
     ) -> list[np.ndarray]:
-        """Per-tile candidate scan (with in-scan dedup for refpoint/border).
+        """Candidate scan with in-scan dedup for refpoint/border.
 
-        The packed backend runs the fused region kernel for the refpoint
-        and hash techniques; the active-border sweep is inherently
-        sequential in row-major tile order, so it always scans per tile.
+        The refpoint and hash techniques run the fused region kernel; the
+        active-border sweep is inherently sequential in row-major tile
+        order, so it scans per tile.
         """
-        if self._store is not None and self.dedup != "active_border":
+        if self.dedup != "active_border":
             return self._fused_window_tiles(window, ix0, ix1, iy0, iy1, stats)
         pieces: list[np.ndarray] = []
-        border = ActiveBorder() if self.dedup == "active_border" else None
+        border = ActiveBorder()
         for iy in range(iy0, iy1 + 1):
-            if border is not None:
-                border.start_row(iy)
+            border.start_row(iy)
             base = iy * self.grid.nx
             for ix in range(ix0, ix1 + 1):
-                cols = self._tile_columns(base + ix)
-                if cols is None:
-                    continue
-                xl, yl, xu, yu, ids = cols
-                if stats is not None:
-                    stats.partitions_visited += 1
-                    stats.rects_scanned += ids.shape[0]
-                    stats.visit_class("tile")
-                    # 1-layer scans every row of every visited tile, so
-                    # scanned == present (nothing is class-pruned).
-                    stats.visit_tile(base + ix, ids.shape[0], ids.shape[0])
-                mask = self._window_mask(
-                    xl, yl, xu, yu, window, ix, ix0, ix1, iy, iy0, iy1, stats
+                self._scan_tile_window(
+                    base + ix, window, ix0, ix1, iy0, iy1, pieces, stats, border
                 )
-                if mask is None:
-                    cand = slice(None)
-                    cand_xl, cand_yl, cand_ids = xl, yl, ids
-                else:
-                    cand = mask
-                    cand_xl = xl[cand]
-                    cand_yl = yl[cand]
-                    cand_ids = ids[cand]
-                if cand_ids.shape[0] == 0:
-                    continue
-                if self.dedup == "refpoint":
-                    keep = reference_point_keep_mask(
-                        cand_xl, cand_yl, window, self.grid, ix, iy
-                    )
-                    if stats is not None:
-                        stats.dedup_checks += cand_ids.shape[0]
-                        stats.duplicates_generated += int(
-                            cand_ids.shape[0] - keep.sum()
-                        )
-                    pieces.append(cand_ids[keep])
-                elif self.dedup == "hash":
-                    pieces.append(cand_ids)
-                else:  # active_border
-                    assert border is not None
-                    cand_yu = yu[cand]
-                    cand_xu = xu[cand]
-                    last_rows = np.minimum(self.grid.tile_iy_array(cand_yu), iy1)
-                    last_cols = np.minimum(self.grid.tile_ix_array(cand_xu), ix1)
-                    kept = []
-                    for k in range(cand_ids.shape[0]):
-                        extends = last_rows[k] > iy or last_cols[k] > ix
-                        if stats is not None:
-                            stats.dedup_checks += 1
-                        if border.report(int(cand_ids[k]), int(last_rows[k]), extends):
-                            kept.append(cand_ids[k])
-                        elif stats is not None:
-                            stats.duplicates_generated += 1
-                    pieces.append(np.asarray(kept, dtype=np.int64))
         return pieces
+
+    def _scan_tile_window(
+        self,
+        tile_id: int,
+        window: Rect,
+        ix0: int,
+        ix1: int,
+        iy0: int,
+        iy1: int,
+        pieces: list[np.ndarray],
+        stats: "QueryStats | None",
+        border: "ActiveBorder | None" = None,
+    ) -> None:
+        """Scan one tile for one window, dedup included.
+
+        The per-tile path: every tile of the active-border sweep (which
+        passes its ``border``), and the overlay tiles of the fused
+        kernel.
+        """
+        cols = self._tile_columns(tile_id)
+        if cols is None:
+            return
+        xl, yl, xu, yu, ids = cols
+        ix = tile_id % self.grid.nx
+        iy = tile_id // self.grid.nx
+        if stats is not None:
+            stats.partitions_visited += 1
+            stats.rects_scanned += ids.shape[0]
+            stats.visit_class("tile")
+            # 1-layer scans every row of every visited tile, so
+            # scanned == present (nothing is class-pruned).
+            stats.visit_tile(tile_id, ids.shape[0], ids.shape[0])
+        mask = self._window_mask(
+            xl, yl, xu, yu, window, ix, ix0, ix1, iy, iy0, iy1, stats
+        )
+        cand = slice(None) if mask is None else mask
+        cand_ids = ids[cand]
+        if cand_ids.shape[0] == 0:
+            return
+        if self.dedup == "refpoint":
+            keep = reference_point_keep_mask(
+                xl[cand], yl[cand], window, self.grid, ix, iy
+            )
+            if stats is not None:
+                stats.dedup_checks += cand_ids.shape[0]
+                stats.duplicates_generated += int(
+                    cand_ids.shape[0] - keep.sum()
+                )
+            pieces.append(cand_ids[keep])
+        elif self.dedup == "hash":
+            pieces.append(cand_ids)
+        else:  # active_border
+            assert border is not None
+            last_rows = np.minimum(self.grid.tile_iy_array(yu[cand]), iy1)
+            last_cols = np.minimum(self.grid.tile_ix_array(xu[cand]), ix1)
+            kept = []
+            for k in range(cand_ids.shape[0]):
+                extends = last_rows[k] > iy or last_cols[k] > ix
+                if stats is not None:
+                    stats.dedup_checks += 1
+                if border.report(int(cand_ids[k]), int(last_rows[k]), extends):
+                    kept.append(cand_ids[k])
+                elif stats is not None:
+                    stats.duplicates_generated += 1
+            pieces.append(np.asarray(kept, dtype=np.int64))
 
     def _fused_window_tiles(
         self,
@@ -606,13 +552,15 @@ class OneLayerGrid:
         iy1: int,
         stats: "QueryStats | None",
     ) -> list[np.ndarray]:
-        """Packed-backend window kernel (refpoint / hash dedup).
+        """Fused window kernel (refpoint / hash dedup).
 
         The tile range decomposes into at most 9 regions of uniform
         §IV-B comparison sets; each region is one offsets walk over the
         CSR base plus one vectorised comparison pass — including the
         reference-point test, which generalises across tiles by carrying
-        per-row tile coordinates.  Overlay tiles fall back to per-tile.
+        per-row tile coordinates.  Overlay tiles fall back to per-tile,
+        and without a base (an index grown by inserts alone) every live
+        row is an overlay row.
         """
         store = self._store
         grid = self.grid
@@ -620,7 +568,8 @@ class OneLayerGrid:
         pieces: list[np.ndarray] = []
         delta = self._delta_tiles_in_range(ix0, ix1, iy0, iy1)
         delta_arr = np.asarray(delta, dtype=np.int64) if delta else None
-        for ay, by, at_y0, at_y1 in _axis_segments(iy0, iy1):
+        y_segments = _axis_segments(iy0, iy1) if store is not None else []
+        for ay, by, at_y0, at_y1 in y_segments:
             for ax, bx, at_x0, at_x1 in _axis_segments(ix0, ix1):
                 tids = (
                     np.arange(ay, by + 1, dtype=np.int64)[:, None] * nx
@@ -686,40 +635,9 @@ class OneLayerGrid:
                     )
                 pieces.append(cand_ids[keep])
         for tile_id in delta:
-            ix = tile_id % nx
-            iy = tile_id // nx
-            cols = self._tile_columns(tile_id)
-            if cols is None:
-                continue
-            xl, yl, xu, yu, ids = cols
-            if stats is not None:
-                stats.partitions_visited += 1
-                stats.rects_scanned += ids.shape[0]
-                stats.visit_class("tile")
-                stats.visit_tile(tile_id, ids.shape[0], ids.shape[0])
-            mask = self._window_mask(
-                xl, yl, xu, yu, window, ix, ix0, ix1, iy, iy0, iy1, stats
+            self._scan_tile_window(
+                tile_id, window, ix0, ix1, iy0, iy1, pieces, stats
             )
-            if mask is None:
-                cand_xl, cand_yl, cand_ids = xl, yl, ids
-            else:
-                cand_xl = xl[mask]
-                cand_yl = yl[mask]
-                cand_ids = ids[mask]
-            if cand_ids.shape[0] == 0:
-                continue
-            if self.dedup == "hash":
-                pieces.append(cand_ids)
-                continue
-            keep = reference_point_keep_mask(
-                cand_xl, cand_yl, window, grid, ix, iy
-            )
-            if stats is not None:
-                stats.dedup_checks += cand_ids.shape[0]
-                stats.duplicates_generated += int(
-                    cand_ids.shape[0] - keep.sum()
-                )
-            pieces.append(cand_ids[keep])
         return pieces
 
     @staticmethod
@@ -862,15 +780,12 @@ class OneLayerGrid:
     def tile_table(self, ix: int, iy: int) -> "TileTable | None":
         """The raw tile storage (testing / inspection only).
 
-        Under the packed backend the returned table is a merged read-only
-        view of base + overlay; mutate through :meth:`insert`/:meth:`delete`.
+        The returned table is a merged read-only view of base + overlay;
+        mutate through :meth:`insert`/:meth:`delete`.
         """
         if not (0 <= ix < self.grid.nx and 0 <= iy < self.grid.ny):
             raise IndexStateError(f"tile ({ix}, {iy}) outside the grid")
-        tile_id = self.grid.tile_id(ix, iy)
-        if self._store is None:
-            return self._tiles.get(tile_id)
-        cols = self._tile_columns(tile_id)
+        cols = self._tile_columns(self.grid.tile_id(ix, iy))
         return None if cols is None else TileTable(*cols)
 
     def explain_partitions(

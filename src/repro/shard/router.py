@@ -214,17 +214,9 @@ class ShardedQueryService(SpatialQueryService):
     ):
         if shards < 1:
             raise IndexStateError(f"shards must be >= 1, got {shards}")
-        if index._store is None:
-            # Workers map the packed CSR base from shared memory, so a
-            # legacy-backend index (including one loaded from an old
-            # --index archive) is rebuilt packed at boot.
-            from repro.core.two_layer import TwoLayerGrid as _TLG
-
-            rebuilt = _TLG(index.grid, storage="packed")
-            rebuilt._bulk_load(data)
-            index = rebuilt
-        elif index._tiles or index._store.n_dead:
-            # Workers map the immutable base; fold any overlay first so
+        if index._store is None or index._tiles or index._store.n_dead:
+            # Workers map the immutable base; fold any overlay first (or
+            # materialise a base for an index grown by inserts alone) so
             # the arena carries the complete state.
             index.compact()
         super().__init__(index, data, config, registry)

@@ -87,7 +87,7 @@ def build_worker_state(
     if _sanitize.enabled():
         _sanitize.check_packed_store(store, "shard.worker.attach")
     band = ShardBand.from_tuple(manifest["bands"][shard_id])
-    index = BandedTwoLayerGrid(grid, band, storage="packed")
+    index = BandedTwoLayerGrid(grid, band)
     index._store = store
     index._n_objects = int(manifest["n_objects"])
     fast_q = views.get("fast_q")

@@ -2,8 +2,8 @@
 
 Unit tests for :mod:`repro.obs.live` — decay math, the top-K/snapshot
 views, the buffered :class:`HeatStats` hook path (including parity
-between the packed and legacy grid backends, whose kernels feed the
-hooks from different call sites), and the bounded rings.
+between the fused and per-tile grid kernels, which feed the hooks from
+different call sites), and the bounded rings.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 from repro.datasets import generate_uniform_rects
 from repro.errors import ObsError
 from repro.geometry.mbr import Rect
+from repro.core.batch import evaluate_tiles_based
 from repro.grid.one_layer import OneLayerGrid
 from repro.core.two_layer import TwoLayerGrid
 from repro.obs.live import (
@@ -139,27 +140,46 @@ class TestHeatStats:
 
     @pytest.mark.parametrize("cls", [TwoLayerGrid, OneLayerGrid])
     def test_backend_parity(self, cls):
-        """Packed and legacy kernels feed identical heat totals."""
+        """Fused and per-tile kernels feed identical heat totals.
+
+        The fused kernels report whole regions through ``visit_tiles``;
+        the per-tile paths (the 2-layer tiles-based batch evaluator, the
+        1-layer active-border scan) report one ``visit_tile`` at a time.
+        """
         data = generate_uniform_rects(800, area=1e-5, seed=11)
         windows = [
             Rect(0.1, 0.1, 0.4, 0.4),
             Rect(0.5, 0.5, 0.9, 0.9),
             Rect(0.0, 0.0, 1.0, 1.0),
         ]
+        if cls is TwoLayerGrid:
+            index = cls.build(data, partitions_per_dim=8)
+            runs = {
+                "fused": lambda w, s: index.window_query(w, s),
+                "per_tile": lambda w, s: evaluate_tiles_based(index, [w], s),
+            }
+        else:
+            fused = cls.build(data, partitions_per_dim=8, dedup="refpoint")
+            per_tile = cls.build(
+                data, partitions_per_dim=8, dedup="active_border"
+            )
+            runs = {
+                "fused": fused.window_query,
+                "per_tile": per_tile.window_query,
+            }
         totals = {}
-        for storage in ("packed", "legacy"):
-            index = cls.build(data, partitions_per_dim=8, storage=storage)
+        for path, run in runs.items():
             heat = TileHeatAccumulator(8, 8, half_life_s=0.0)
             stats = HeatStats(heat)
             for w in windows:
-                index.window_query(w, stats)
+                run(w, stats)
             stats.flush()
-            totals[storage] = (
+            totals[path] = (
                 heat.scans.copy(),
                 heat.rows.copy(),
                 heat.present.copy(),
             )
-        for a, b in zip(totals["packed"], totals["legacy"]):
+        for a, b in zip(totals["fused"], totals["per_tile"]):
             np.testing.assert_allclose(a, b)
 
 

@@ -1,14 +1,21 @@
-"""Parity and regression tests for the packed CSR storage backend.
+"""Correctness and regression tests for the packed CSR storage.
 
-The packed backend (:class:`repro.grid.storage.PackedStore` + fused
-query kernels) must be *observationally identical* to the legacy
-per-tile-dict backend: same result-id sets for every query kind, same
-:class:`~repro.stats.QueryStats` counters, same EXPLAIN accounting.
-These tests build every index twice (``storage="packed"`` /
-``storage="legacy"``) over randomized datasets and workloads and assert
-exact equality — including under interleaved inserts and deletes, after
-compaction, across persistence round-trips, and through the serving
-layer's copy-on-write snapshots.
+Every index keeps its bulk-loaded rows in a
+:class:`repro.grid.storage.PackedStore` queried by fused kernels, with a
+per-tile delta overlay for inserts and tombstones for deletes.  These
+tests check it against two independent references:
+
+* result ids against a numpy brute-force scan of the live dataset
+  columns — for every query kind, under interleaved inserts and deletes,
+  after compaction, and across persistence round-trips;
+* :class:`~repro.stats.QueryStats` accounting of the fused 2-layer
+  kernels against the per-tile path on the same index
+  (``window_query`` vs :func:`~repro.core.batch.evaluate_tiles_based`,
+  ``disk_query`` vs :func:`~repro.core.batch.evaluate_disk_tiles_based`),
+  and of the 1-layer fused kernels against its per-tile active-border
+  scan.
+
+The serving layer's copy-on-write snapshots are covered too.
 """
 
 from __future__ import annotations
@@ -30,14 +37,8 @@ from repro.core.persistence import load_index, save_index
 from repro.datasets import DiskQuery, RectDataset, generate_uniform_rects
 from repro.geometry import Rect
 from repro.grid import OneLayerGrid
-from repro.grid.storage import (
-    PackedStore,
-    TileTable,
-    packed_storage_default,
-    ranges_to_rows,
-    resolve_storage_mode,
-)
-from repro.obs.explain import explain_disk, explain_window
+from repro.grid.storage import PackedStore, TileTable, ranges_to_rows
+from repro.obs.explain import ExplainStats, explain_disk, explain_window
 from repro.server.snapshot import SnapshotStore
 from repro.stats import QueryStats
 
@@ -50,12 +51,8 @@ def data() -> RectDataset:
 
 
 @pytest.fixture(scope="module")
-def pair(data):
-    """The same dataset under both storage backends."""
-    return (
-        TwoLayerGrid.build(data, partitions_per_dim=GRID, storage="packed"),
-        TwoLayerGrid.build(data, partitions_per_dim=GRID, storage="legacy"),
-    )
+def index(data):
+    return TwoLayerGrid.build(data, partitions_per_dim=GRID)
 
 
 def windows(n: int, seed: int, lo: float = 0.02, hi: float = 0.35):
@@ -70,28 +67,101 @@ def windows(n: int, seed: int, lo: float = 0.02, hi: float = 0.35):
     return out
 
 
-def assert_query_parity(run_packed, run_legacy, label=""):
-    """Same ids AND identical QueryStats counters on both backends."""
-    sp, sl = QueryStats(), QueryStats()
-    got_p = run_packed(sp)
-    got_l = run_legacy(sl)
-    assert ids_set(got_p) == ids_set(got_l), label
-    assert len(got_p) == len(got_l), f"{label}: duplicate count differs"
-    assert sp.as_dict() == sl.as_dict(), label
+def disks(n: int, seed: int, lo: float = 0.01, hi: float = 0.3):
+    rng = np.random.default_rng(seed)
+    return [
+        DiskQuery(
+            float(rng.uniform(0, 1)),
+            float(rng.uniform(0, 1)),
+            float(rng.uniform(lo, hi)),
+        )
+        for _ in range(n)
+    ]
+
+
+# -- brute-force oracle over the dataset columns ----------------------------
+
+
+def live_mask(data: RectDataset, live=None) -> np.ndarray:
+    if live is None:
+        return np.ones(len(data), dtype=bool)
+    mask = np.zeros(len(data), dtype=bool)
+    mask[list(live)] = True
+    return mask
+
+
+def brute_window(data: RectDataset, w: Rect, live=None) -> np.ndarray:
+    hit = (
+        (data.xl <= w.xu)
+        & (data.xu >= w.xl)
+        & (data.yl <= w.yu)
+        & (data.yu >= w.yl)
+    )
+    return np.flatnonzero(hit & live_mask(data, live))
+
+
+def brute_within(data: RectDataset, w: Rect) -> np.ndarray:
+    return np.flatnonzero(
+        (data.xl >= w.xl)
+        & (data.xu <= w.xu)
+        & (data.yl >= w.yl)
+        & (data.yu <= w.yu)
+    )
+
+
+def brute_disk(data: RectDataset, q: DiskQuery, live=None) -> np.ndarray:
+    dx = np.maximum(np.maximum(data.xl - q.cx, 0.0), q.cx - data.xu)
+    dy = np.maximum(np.maximum(data.yl - q.cy, 0.0), q.cy - data.yu)
+    hit = dx * dx + dy * dy <= q.radius * q.radius
+    return np.flatnonzero(hit & live_mask(data, live))
+
+
+def assert_ids(got: np.ndarray, expected: np.ndarray, label="") -> None:
+    """Exactly the expected ids, each reported once."""
+    got = np.sort(np.asarray(got, dtype=np.int64))
+    assert np.unique(got).shape[0] == got.shape[0], f"{label}: duplicates"
+    assert np.array_equal(got, expected), label
+
+
+def tile_spans(grid, data: RectDataset):
+    """Per-object ``(ix0, ix1, iy0, iy1)`` tile ranges."""
+    return (
+        grid.tile_ix_array(data.xl),
+        grid.tile_ix_array(data.xu),
+        grid.tile_iy_array(data.yl),
+        grid.tile_iy_array(data.yu),
+    )
+
+
+# -- fused vs per-tile accounting on one index ------------------------------
+
+
+def assert_window_stats_match(index: TwoLayerGrid, w: Rect, label="") -> None:
+    """Fused ``window_query`` and the per-tile tiles-based path agree."""
+    fused, per_tile = ExplainStats(), ExplainStats()
+    got_f = index.window_query(w, fused)
+    (got_t,) = evaluate_tiles_based(index, [w], per_tile)
+    assert ids_set(got_f) == ids_set(got_t), label
+    assert fused.as_dict() == per_tile.as_dict(), label
+    assert fused.class_scans == per_tile.class_scans, label
+
+
+def assert_disk_stats_match(index: TwoLayerGrid, q: DiskQuery, label="") -> None:
+    fused, per_tile = ExplainStats(), ExplainStats()
+    got_f = index.disk_query(q, fused)
+    (got_t,) = evaluate_disk_tiles_based(index, [q], per_tile)
+    assert ids_set(got_f) == ids_set(got_t), label
+    assert fused.as_dict() == per_tile.as_dict(), label
+    assert fused.class_scans == per_tile.class_scans, label
 
 
 class TestTwoLayerParity:
-    def test_window_query(self, pair):
-        packed, legacy = pair
+    def test_window_query(self, index, data):
         for i, w in enumerate(windows(40, seed=11)):
-            assert_query_parity(
-                lambda s, w=w: packed.window_query(w, s),
-                lambda s, w=w: legacy.window_query(w, s),
-                f"window {i}",
-            )
+            assert_ids(index.window_query(w), brute_window(data, w), f"window {i}")
+            assert_window_stats_match(index, w, f"window {i}")
 
-    def test_window_query_boundary_aligned(self, pair):
-        packed, legacy = pair
+    def test_window_query_boundary_aligned(self, index, data):
         # Windows snapped to tile borders — the adversarial case for the
         # region decomposition (single-row/column ranges, shared edges).
         t = 1.0 / GRID
@@ -103,180 +173,174 @@ class TestTwoLayerParity:
             Rect(0.0, 0.0, 1.0, 1.0),  # whole domain
         ]
         for w in cases:
-            assert_query_parity(
-                lambda s, w=w: packed.window_query(w, s),
-                lambda s, w=w: legacy.window_query(w, s),
+            assert_ids(index.window_query(w), brute_window(data, w), repr(w))
+            assert_window_stats_match(index, w, repr(w))
+
+    def test_window_query_within(self, index, data):
+        for w in windows(25, seed=13, lo=0.1, hi=0.5):
+            assert_ids(
+                index.window_query_within(w, QueryStats()),
+                brute_within(data, w),
                 repr(w),
             )
 
-    def test_window_query_within(self, pair):
-        packed, legacy = pair
-        for w in windows(25, seed=13, lo=0.1, hi=0.5):
-            assert_query_parity(
-                lambda s, w=w: packed.window_query_within(w, s),
-                lambda s, w=w: legacy.window_query_within(w, s),
-            )
-
-    def test_count_window(self, pair):
-        packed, legacy = pair
+    def test_count_window(self, index, data):
         for w in windows(25, seed=17):
-            assert packed.count_window(w) == legacy.count_window(w)
+            assert index.count_window(w) == brute_window(data, w).shape[0]
 
-    def test_disk_query(self, pair):
-        packed, legacy = pair
-        rng = np.random.default_rng(19)
-        for _ in range(30):
-            q = DiskQuery(
-                float(rng.uniform(0, 1)),
-                float(rng.uniform(0, 1)),
-                float(rng.uniform(0.01, 0.3)),
-            )
-            assert_query_parity(
-                lambda s, q=q: packed.disk_query(q, s),
-                lambda s, q=q: legacy.disk_query(q, s),
-                repr(q),
-            )
+    def test_disk_query(self, index, data):
+        for q in disks(30, seed=19):
+            assert_ids(index.disk_query(q), brute_disk(data, q), repr(q))
+            assert_disk_stats_match(index, q, repr(q))
 
-    def test_knn_query(self, pair, data):
-        packed, legacy = pair
+    def test_knn_query(self, index, data):
         rng = np.random.default_rng(23)
         for _ in range(10):
             cx, cy = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
             k = int(rng.integers(1, 40))
-            sp, sl = QueryStats(), QueryStats()
-            got_p = knn_query(packed, data, cx, cy, k, sp)
-            got_l = knn_query(legacy, data, cx, cy, k, sl)
-            assert np.array_equal(got_p, got_l)  # deterministic ranking
-            assert sp.as_dict() == sl.as_dict()
+            dx = np.maximum(np.maximum(data.xl - cx, 0.0), cx - data.xu)
+            dy = np.maximum(np.maximum(data.yl - cy, 0.0), cy - data.yu)
+            ids = np.arange(len(data))
+            expected = ids[np.lexsort((ids, np.hypot(dx, dy)))][:k]
+            got = knn_query(index, data, cx, cy, k, QueryStats())
+            assert np.array_equal(got, expected)  # ties broken by id
 
-    def test_convex_range_query(self, pair):
-        packed, legacy = pair
+    def test_convex_range_query(self, index, data):
         poly = ConvexPolygonRange(
             [(0.2, 0.1), (0.8, 0.3), (0.7, 0.9), (0.25, 0.7)]
         )
-        assert_query_parity(
-            lambda s: convex_range_query(packed, poly, s),
-            lambda s: convex_range_query(legacy, poly, s),
+        expected = np.flatnonzero(
+            poly.intersects_rects(data.xl, data.yl, data.xu, data.yu)
         )
+        assert_ids(convex_range_query(index, poly, QueryStats()), expected)
 
-    def test_batch_evaluators(self, pair):
-        packed, legacy = pair
+    def test_batch_evaluators(self, index, data):
         ws = windows(12, seed=29)
-        for got_p, got_l in zip(
-            evaluate_tiles_based(packed, ws), evaluate_tiles_based(legacy, ws)
-        ):
-            assert ids_set(got_p) == ids_set(got_l)
+        for w, got in zip(ws, evaluate_tiles_based(index, ws)):
+            assert_ids(got, brute_window(data, w), repr(w))
         qs = [DiskQuery(0.3, 0.4, 0.15), DiskQuery(0.7, 0.2, 0.08)]
-        for got_p, got_l in zip(
-            evaluate_disk_tiles_based(packed, qs),
-            evaluate_disk_tiles_based(legacy, qs),
-        ):
-            assert ids_set(got_p) == ids_set(got_l)
+        for q, got in zip(qs, evaluate_disk_tiles_based(index, qs)):
+            assert_ids(got, brute_disk(data, q), repr(q))
 
-    def test_introspection(self, pair):
-        packed, legacy = pair
-        assert packed.replica_count == legacy.replica_count
-        assert packed.nonempty_tiles == legacy.nonempty_tiles
-        assert packed.class_counts() == legacy.class_counts()
-        assert packed._class_a_counts() == legacy._class_a_counts()
-        assert packed.storage == "packed" and legacy.storage == "legacy"
+    def test_introspection(self, index, data):
+        ix0, ix1, iy0, iy1 = tile_spans(index.grid, data)
+        span_x = ix1 - ix0
+        span_y = iy1 - iy0
+        assert index.replica_count == int(((span_x + 1) * (span_y + 1)).sum())
+        assert index.class_counts() == {
+            "A": len(data),
+            "B": int(span_y.sum()),
+            "C": int(span_x.sum()),
+            "D": int((span_x * span_y).sum()),
+        }
+        nx = index.grid.nx
+        starts = np.bincount(iy0 * nx + ix0)
+        assert index._class_a_counts() == {
+            int(t): int(starts[t]) for t in np.flatnonzero(starts)
+        }
+        covered = {
+            int(y) * nx + int(x)
+            for k in range(len(data))
+            for y in range(iy0[k], iy1[k] + 1)
+            for x in range(ix0[k], ix1[k] + 1)
+        }
+        assert index.nonempty_tiles == len(covered)
 
 
 class TestTwoLayerPlusParity:
     def test_window_query(self, data):
-        packed = TwoLayerPlusGrid.build(
-            data, partitions_per_dim=GRID, storage="packed"
-        )
-        legacy = TwoLayerPlusGrid.build(
-            data, partitions_per_dim=GRID, storage="legacy"
-        )
+        plus = TwoLayerPlusGrid.build(data, partitions_per_dim=GRID)
         for w in windows(25, seed=31):
-            assert_query_parity(
-                lambda s, w=w: packed.window_query(w, s),
-                lambda s, w=w: legacy.window_query(w, s),
+            assert_ids(plus.window_query(w), brute_window(data, w), repr(w))
+            assert_ids(
+                plus.window_query(w, QueryStats()), brute_window(data, w), repr(w)
             )
 
 
 class TestOneLayerParity:
-    @pytest.mark.parametrize("dedup", ["refpoint", "hash", "active_border"])
-    def test_window_query(self, data, dedup):
-        packed = OneLayerGrid.build(
-            data, partitions_per_dim=GRID, dedup=dedup, storage="packed"
-        )
-        legacy = OneLayerGrid.build(
-            data, partitions_per_dim=GRID, dedup=dedup, storage="legacy"
-        )
-        for w in windows(25, seed=37):
-            assert_query_parity(
-                lambda s, w=w: packed.window_query(w, s),
-                lambda s, w=w: legacy.window_query(w, s),
-                dedup,
-            )
+    @pytest.fixture(scope="class")
+    def by_dedup(self, data):
+        return {
+            dedup: OneLayerGrid.build(data, partitions_per_dim=GRID, dedup=dedup)
+            for dedup in ("refpoint", "hash", "active_border")
+        }
 
-    def test_disk_query(self, data):
-        packed = OneLayerGrid.build(data, partitions_per_dim=GRID, storage="packed")
-        legacy = OneLayerGrid.build(data, partitions_per_dim=GRID, storage="legacy")
-        rng = np.random.default_rng(41)
-        for _ in range(15):
-            q = DiskQuery(
-                float(rng.uniform(0, 1)),
-                float(rng.uniform(0, 1)),
-                float(rng.uniform(0.02, 0.25)),
-            )
-            assert_query_parity(
-                lambda s, q=q: packed.disk_query(q, s),
-                lambda s, q=q: legacy.disk_query(q, s),
-            )
+    @pytest.mark.parametrize("dedup", ["refpoint", "hash", "active_border"])
+    def test_window_query(self, data, by_dedup, dedup):
+        index = by_dedup[dedup]
+        # active_border scans tile by tile; refpoint/hash run the fused
+        # region kernel.  The scan itself is dedup-independent.
+        reference = by_dedup["active_border"]
+        scan_counters = ("partitions_visited", "rects_scanned", "comparisons")
+        for w in windows(40, seed=37):
+            expected = brute_window(data, w)
+            assert_ids(index.window_query(w), expected, dedup)
+            got, ref = QueryStats(), QueryStats()
+            assert_ids(index.window_query(w, got), expected, dedup)
+            reference.window_query(w, ref)
+            for name in scan_counters:
+                assert getattr(got, name) == getattr(ref, name), (dedup, name)
+
+    def test_disk_query(self, data, by_dedup):
+        index = by_dedup["refpoint"]
+        for q in disks(15, seed=41, lo=0.02, hi=0.25):
+            assert_ids(index.disk_query(q), brute_disk(data, q), repr(q))
 
 
 class TestMaintenanceParity:
-    """Interleaved inserts and deletes keep the backends in lockstep."""
+    """Interleaved inserts and deletes against the brute-force oracle."""
 
     @pytest.mark.parametrize("cls", [TwoLayerGrid, OneLayerGrid])
     def test_interleaved_insert_delete(self, cls):
         rng = np.random.default_rng(43)
         base = generate_uniform_rects(400, area=1e-3, seed=47)
-        packed = cls.build(base, partitions_per_dim=8, storage="packed")
-        legacy = cls.build(base, partitions_per_dim=8, storage="legacy")
-        live = {i: base.rect(i) for i in range(len(base))}
-        next_id = len(base)
+        index = cls.build(base, partitions_per_dim=8)
+        rects = [base.rect(i) for i in range(len(base))]
+        live = set(range(len(base)))
         probe = windows(6, seed=53)
+        disk_probe = disks(3, seed=59)
         for round_no in range(6):
-            for _ in range(20):  # inserts land in the packed delta overlay
+            for _ in range(20):  # inserts land in the delta overlay
                 w = float(rng.uniform(0.005, 0.1))
                 h = float(rng.uniform(0.005, 0.1))
                 x = float(rng.uniform(0, 1.0 - w))
                 y = float(rng.uniform(0, 1.0 - h))
                 rect = Rect(x, y, x + w, y + h)
-                assert packed.insert(rect, next_id) == next_id
-                legacy.insert(rect, next_id)
-                live[next_id] = rect
-                next_id += 1
-            for _ in range(15):  # deletes tombstone the packed base
-                victim = int(rng.choice(list(live)))
-                rect = live.pop(victim)
-                assert packed.delete(rect, victim)
-                assert legacy.delete(rect, victim)
-            assert packed.replica_count == legacy.replica_count
+                assert index.insert(rect, len(rects)) == len(rects)
+                live.add(len(rects))
+                rects.append(rect)
+            for _ in range(15):  # deletes tombstone the base
+                victim = int(rng.choice(sorted(live)))
+                live.discard(victim)
+                assert index.delete(rects[victim], victim)
+            current = RectDataset.from_rects(rects)
+            ix0, ix1, iy0, iy1 = tile_spans(index.grid, current)
+            alive = live_mask(current, live)
+            assert index.replica_count == int(
+                ((ix1 - ix0 + 1) * (iy1 - iy0 + 1))[alive].sum()
+            )
+            label = f"round {round_no}"
             for w in probe:
-                assert_query_parity(
-                    lambda s, w=w: packed.window_query(w, s),
-                    lambda s, w=w: legacy.window_query(w, s),
-                    f"round {round_no}",
-                )
+                expected = brute_window(current, w, live)
+                assert_ids(index.window_query(w), expected, label)
+                assert_ids(index.window_query(w, QueryStats()), expected, label)
+                if cls is TwoLayerGrid:
+                    assert_window_stats_match(index, w, label)
+            for q in disk_probe:
+                assert_ids(index.disk_query(q), brute_disk(current, q, live), label)
+                if cls is TwoLayerGrid:
+                    assert_disk_stats_match(index, q, label)
             if round_no == 3:
                 # Folding the overlay + tombstones must not change results.
-                packed.compact()
-                assert not packed._tiles
-                assert packed._store.n_dead == 0
-        # Deleting an id that is not indexed reports False on both.
-        ghost = Rect(0.4, 0.4, 0.41, 0.41)
-        assert not packed.delete(ghost, 10**6)
-        assert not legacy.delete(ghost, 10**6)
+                index.compact()
+                assert not index._tiles
+                assert index._store.n_dead == 0
+        # Deleting an id that is not indexed reports False.
+        assert not index.delete(Rect(0.4, 0.4, 0.41, 0.41), 10**6)
 
 
 class TestExplainParity:
-    """EXPLAIN must report identical accounting from the packed path."""
+    """EXPLAIN accounting matches the per-tile path and the oracle."""
 
     # The hand-built 4x4 grid of tests/test_explain.py.
     HAND_RECTS = [
@@ -295,88 +359,76 @@ class TestExplainParity:
     ]
 
     @pytest.fixture(scope="class")
-    def hand_pair(self):
+    def hand(self):
         data = RectDataset.from_rects(self.HAND_RECTS)
-        domain = Rect(0.0, 0.0, 1.0, 1.0)
-        return (
-            TwoLayerGrid.build(
-                data, partitions_per_dim=4, domain=domain, storage="packed"
-            ),
-            TwoLayerGrid.build(
-                data, partitions_per_dim=4, domain=domain, storage="legacy"
-            ),
+        index = TwoLayerGrid.build(
+            data, partitions_per_dim=4, domain=Rect(0.0, 0.0, 1.0, 1.0)
         )
+        return index, data
 
-    def test_window_plans_match(self, hand_pair):
-        packed, legacy = hand_pair
+    def test_window_plans_match(self, hand):
+        index, data = hand
         for w in self.WINDOWS:
-            pp = explain_window(packed, w)
-            pl = explain_window(legacy, w)
-            pp.check()
-            assert pp.tiles_by_class == pl.tiles_by_class
-            assert pp.tiles_visited == pl.tiles_visited
-            assert pp.primary_partitions == pl.primary_partitions
-            assert pp.touched_partitions == pl.touched_partitions
-            assert pp.touched_entries == pl.touched_entries
-            assert pp.duplicates_avoided == pl.duplicates_avoided
-            assert pp.duplicates_eliminated == pl.duplicates_eliminated
-            assert pp.comparisons == pl.comparisons
-            assert pp.stats == pl.stats
-            assert ids_set(pp.result) == ids_set(pl.result)
+            plan = explain_window(index, w)
+            plan.check()
+            per_tile = ExplainStats()
+            evaluate_tiles_based(index, [w], per_tile)
+            assert plan.stats == per_tile.as_dict()
+            assert plan.tiles_by_class == per_tile.class_scans
+            assert plan.primary_partitions == per_tile.partitions_visited
+            assert plan.comparisons == per_tile.comparisons
+            assert_ids(plan.result, brute_window(data, w), repr(w))
 
-    def test_interior_window_scans_class_a_only(self, hand_pair):
-        packed, _ = hand_pair
-        plan = explain_window(packed, self.WINDOWS[0])
+    def test_interior_window_scans_class_a_only(self, hand):
+        index, _ = hand
+        plan = explain_window(index, self.WINDOWS[0])
         assert plan.tiles_by_class == {"A": 1}
         assert plan.duplicates_avoided == 3
 
-    def test_disk_plans_match(self, hand_pair):
-        packed, legacy = hand_pair
+    def test_disk_plans_match(self, hand):
+        index, data = hand
         q = DiskQuery(0.45, 0.45, 0.3)
-        pp = explain_disk(packed, q)
-        pl = explain_disk(legacy, q)
-        assert pp.tiles_by_class == pl.tiles_by_class
-        assert pp.stats == pl.stats
-        assert ids_set(pp.result) == ids_set(pl.result)
+        plan = explain_disk(index, q)
+        per_tile = ExplainStats()
+        evaluate_disk_tiles_based(index, [q], per_tile)
+        assert plan.stats == per_tile.as_dict()
+        assert plan.tiles_by_class == per_tile.class_scans
+        assert_ids(plan.result, brute_disk(data, q))
 
 
 class TestPersistenceParity:
-    @pytest.mark.parametrize("save_storage", ["packed", "legacy"])
-    @pytest.mark.parametrize("load_storage", ["packed", "legacy"])
-    def test_roundtrip_across_backends(
-        self, tmp_path, data, save_storage, load_storage
-    ):
-        index = TwoLayerGrid.build(
-            data, partitions_per_dim=GRID, storage=save_storage
-        )
+    def test_roundtrip(self, tmp_path, index, data):
         path = tmp_path / "idx.npz"
         save_index(index, path)
-        loaded = load_index(path, storage=load_storage)
-        assert loaded.storage == load_storage
+        loaded = load_index(path)
         assert loaded.replica_count == index.replica_count
         for w in windows(8, seed=59):
-            assert_query_parity(
-                lambda s, w=w: loaded.window_query(w, s),
-                lambda s, w=w: index.window_query(w, s),
-            )
+            got, ref = QueryStats(), QueryStats()
+            assert_ids(loaded.window_query(w, got), brute_window(data, w))
+            index.window_query(w, ref)
+            assert got.as_dict() == ref.as_dict()
 
     def test_packed_save_after_updates(self, tmp_path):
         base = generate_uniform_rects(300, area=1e-3, seed=61)
-        index = TwoLayerGrid.build(base, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(base, partitions_per_dim=8)
         index.insert(Rect(0.1, 0.1, 0.3, 0.2), 300)
         assert index.delete(base.rect(5), 5)
         path = tmp_path / "idx.npz"
         save_index(index, path)  # delta rows + tombstones flattened out
-        loaded = load_index(path, storage="packed")
+        loaded = load_index(path)
         assert loaded.replica_count == index.replica_count
+        current = RectDataset.from_rects(
+            [base.rect(i) for i in range(300)] + [Rect(0.1, 0.1, 0.3, 0.2)]
+        )
+        live = set(range(301)) - {5}
         w = Rect(0.0, 0.0, 1.0, 1.0)
-        assert ids_set(loaded.window_query(w)) == ids_set(index.window_query(w))
+        assert_ids(loaded.window_query(w), brute_window(current, w, live))
 
 
 class TestSnapshotPackedBase:
     def test_base_shared_by_reference_across_versions(self):
         data = generate_uniform_rects(500, area=1e-3, seed=67)
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         store = SnapshotStore(index, data)
         base = store.current.index._store
         for k in range(10):
@@ -386,7 +438,7 @@ class TestSnapshotPackedBase:
 
     def test_cow_delete_forks_tombstones_only(self):
         data = generate_uniform_rects(500, area=1e-3, seed=71)
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         store = SnapshotStore(index, data)
         old = store.current
         w = Rect(0.0, 0.0, 1.0, 1.0)
@@ -404,7 +456,7 @@ class TestSnapshotPackedBase:
 
     def test_delete_of_delta_insert(self):
         data = generate_uniform_rects(200, area=1e-3, seed=73)
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         store = SnapshotStore(index, data)
         obj_id, _ = store.insert(Rect(0.5, 0.5, 0.55, 0.55))
         found, _ = store.delete(obj_id)
@@ -436,7 +488,7 @@ class TestTileTableRegressions:
 
     def test_tombstone_delete_never_rebuilds_base(self):
         data = generate_uniform_rects(300, area=1e-3, seed=79)
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         store = index._store
         xl = store.xl
         assert index.delete(data.rect(10), 10)
@@ -480,13 +532,3 @@ class TestPackedStoreUnit:
         assert store.mark_dead(np.array([2, 3])) == 1  # 2 already dead
         assert store.n_live == 1
         assert store.group_counts().tolist() == [1]
-
-    def test_resolve_storage_mode(self, monkeypatch):
-        assert resolve_storage_mode("packed") is True
-        assert resolve_storage_mode("legacy") is False
-        with pytest.raises(ValueError):
-            resolve_storage_mode("mmap")
-        monkeypatch.delenv("REPRO_PACKED", raising=False)
-        assert packed_storage_default() is True
-        monkeypatch.setenv("REPRO_PACKED", "0")
-        assert resolve_storage_mode(None) is False

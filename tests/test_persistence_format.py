@@ -1,14 +1,13 @@
 """The columnar on-disk container and the persistence contract around it.
 
 Covers the raw format (header/section-table/alignment/version gates),
-round-trips across every index class x save format x load backend on a
-dataset engineered to hit classes A-D, empty tiles and domain-edge
-rects, the ``writeable=False`` snapshot guarantee, the dirty-save
-(``if_dirty``) contract, the 2-layer+ persisted sort orders, the
-compiled-kernel fallback knobs plus direct parity of the pure-python
-kernel bodies, the file-backed shard arena, and — the tentpole claim —
-that a memmap load does not page slab bytes in until the first query
-(asserted against ``/proc/self/smaps``).
+round-trips across every index class x save format on a dataset
+engineered to hit classes A-D, empty tiles and domain-edge rects
+(checked against a brute-force scan of the dataset columns), the
+``writeable=False`` snapshot guarantee, the dirty-save (``if_dirty``)
+contract, the 2-layer+ persisted sort orders, the file-backed shard
+arena, and — the tentpole claim — that a memmap load does not page slab
+bytes in until the first query (asserted against ``/proc/self/smaps``).
 """
 
 from __future__ import annotations
@@ -35,13 +34,11 @@ from repro.datasets import (
 from repro.errors import DatasetError, IndexStateError
 from repro.geometry import Rect
 from repro.grid import OneLayerGrid
-from repro.grid import kernels as _kernels
 from repro.stats import QueryStats
 
 from conftest import ids_set
 
 GRID_CLASSES = (OneLayerGrid, TwoLayerGrid, TwoLayerPlusGrid)
-STORAGES = ("packed", "legacy")
 
 
 @pytest.fixture(scope="module")
@@ -176,49 +173,60 @@ class TestContainerFormat:
             )
 
 
-# -- index round-trips across class x format x backend ----------------------
+# -- index round-trips across class x format --------------------------------
+
+
+#: index states a save must round-trip: every row in the packed base, or
+#: inserts in the delta overlay on top of tombstoned base rows (which the
+#: save compacts first).
+STATES = ("packed", "overlay")
+
+
+def _index_in_state(cls, data: RectDataset, state: str):
+    """``(index over data, deleted ids)`` with the rows laid out per state."""
+    if state == "packed":
+        return cls.build(data, partitions_per_dim=8), np.empty(0, np.int64)
+    n_base = len(data) - 20
+    index = cls.build(
+        RectDataset(data.xl[:n_base], data.yl[:n_base], data.xu[:n_base],
+                    data.yu[:n_base]),
+        partitions_per_dim=8,
+    )
+    for i in range(n_base, len(data)):
+        assert index.insert(data.rect(i)) == i
+    deleted = np.arange(0, n_base, 29, dtype=np.int64)
+    for i in deleted:
+        assert index.delete(data.rect(int(i)), int(i))
+    return index, deleted
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("cls", GRID_CLASSES)
     @pytest.mark.parametrize("fmt", SAVE_FORMATS)
-    @pytest.mark.parametrize("storage", STORAGES)
-    def test_window_and_disk_parity(self, data, tmp_path, cls, fmt, storage):
-        index = cls.build(data, partitions_per_dim=8)
+    @pytest.mark.parametrize("state", STATES)
+    def test_window_and_disk_parity(self, data, tmp_path, cls, fmt, state):
+        index, deleted = _index_in_state(cls, data, state)
         path = tmp_path / "index.bin"
         save_index(index, path, format=fmt)
         assert container.is_columnar(path) == (fmt == "columnar")
-        loaded = load_index(path, storage=storage)
+        loaded = load_index(path)
         assert type(loaded) is cls
-        assert len(loaded) == len(index)
+        assert len(loaded) == len(index) == len(data)
         assert loaded.replica_count == index.replica_count
         for w in _windows(data):
-            assert ids_set(loaded.window_query(w)) == ids_set(
-                index.window_query(w)
-            ), w
+            got = np.sort(loaded.window_query(w))
+            expected = np.setdiff1d(data.brute_force_window(w), deleted)
+            np.testing.assert_array_equal(got, expected)
+        for q in (DiskQuery(0.5, 0.5, 0.2), DiskQuery(0.0, 0.0, 0.3)):
+            got = np.sort(loaded.disk_query(q))
+            expected = np.setdiff1d(
+                data.brute_force_disk(q.cx, q.cy, q.radius), deleted
+            )
+            np.testing.assert_array_equal(got, expected)
         if cls is not OneLayerGrid:
-            assert loaded.count_window(Rect(0.0, 0.0, 1.0, 1.0)) == len(data)
-            for q in (DiskQuery(0.5, 0.5, 0.2), DiskQuery(0.0, 0.0, 0.3)):
-                assert ids_set(loaded.disk_query(q)) == ids_set(
-                    index.disk_query(q)
-                )
-
-    @pytest.mark.parametrize("fmt", SAVE_FORMATS)
-    @pytest.mark.parametrize("src_storage", STORAGES)
-    def test_legacy_built_index_saves_too(
-        self, data, tmp_path, fmt, src_storage
-    ):
-        """The writer accepts either backend, not just packed."""
-        index = TwoLayerGrid.build(
-            data, partitions_per_dim=8, storage=src_storage
-        )
-        path = tmp_path / "index.bin"
-        save_index(index, path, format=fmt)
-        loaded = load_index(path)
-        w = Rect(0.2, 0.2, 0.7, 0.7)
-        assert ids_set(loaded.window_query(w)) == ids_set(
-            data.brute_force_window(w)
-        )
+            assert loaded.count_window(Rect(0.0, 0.0, 1.0, 1.0)) == (
+                len(data) - len(deleted)
+            )
 
     @pytest.mark.parametrize("fmt", SAVE_FORMATS)
     def test_empty_index_roundtrip(self, tmp_path, fmt):
@@ -272,28 +280,17 @@ class TestRoundTrip:
 
 class TestWriteableFalse:
     @pytest.mark.parametrize("fmt", SAVE_FORMATS)
-    @pytest.mark.parametrize("storage", STORAGES)
-    def test_loaded_columns_frozen(self, data, tmp_path, fmt, storage):
+    def test_loaded_columns_frozen(self, data, tmp_path, fmt):
         index = TwoLayerGrid.build(data, partitions_per_dim=8)
         path = tmp_path / "index.bin"
         save_index(index, path, format=fmt)
-        loaded = load_index(path, storage=storage)
-        if storage == "packed":
-            store = loaded._store
-            for arr in (
-                store.offsets, store.xl, store.yl, store.xu, store.yu,
-                store.ids,
-            ):
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr[:1] = 0
-        else:
-            tables = next(iter(loaded._tiles.values()))
-            table = next(t for t in tables if t is not None)
-            for arr in table.columns():
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr[:1] = 0
+        store = load_index(path)._store
+        for arr in (
+            store.offsets, store.xl, store.yl, store.xu, store.yu, store.ids,
+        ):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[:1] = 0
 
     def test_updates_still_work_via_overlay(self, data, tmp_path):
         """Frozen base + delta overlay: mutation API stays available."""
@@ -316,21 +313,21 @@ class TestWriteableFalse:
 class TestDirtySave:
     @pytest.mark.parametrize("fmt", SAVE_FORMATS)
     def test_overlay_error_mode(self, data, tmp_path, fmt):
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         index.insert(Rect(0.1, 0.1, 0.11, 0.11))
         with pytest.raises(IndexStateError, match="1 overlay rows"):
             save_index(index, tmp_path / "x.bin", format=fmt, if_dirty="error")
 
     @pytest.mark.parametrize("fmt", SAVE_FORMATS)
     def test_tombstone_error_mode(self, data, tmp_path, fmt):
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         assert index.delete(data.rect(0), 0)
         with pytest.raises(IndexStateError, match="tombstones"):
             save_index(index, tmp_path / "x.bin", format=fmt, if_dirty="error")
 
     @pytest.mark.parametrize("fmt", SAVE_FORMATS)
     def test_compact_mode_folds_and_persists(self, data, tmp_path, fmt):
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         new_id = index.insert(Rect(0.1, 0.1, 0.11, 0.11))
         assert index.delete(data.rect(0), 0)
         path = tmp_path / "x.bin"
@@ -416,7 +413,7 @@ class TestLazyPageIn:
         save_index(index, path)
         assert os.path.getsize(path) > 8 * len(big) * 8  # real slabs
 
-        loaded = load_index(path, storage="packed")
+        loaded = load_index(path)
         rss_cold = _mapped_rss_kb(str(path))
         assert rss_cold >= 0, "container mapping not found in smaps"
         # Loading read the header/table/meta via plain file reads; the
@@ -438,7 +435,7 @@ class TestPersistedOrders:
         index = TwoLayerPlusGrid.build(data, partitions_per_dim=8)
         path = tmp_path / "plus.bin"
         save_index(index, path)
-        loaded = load_index(path, storage="packed")
+        loaded = load_index(path)
         assert loaded._persisted_orders is not None
         assert len(loaded._persisted_orders) == 4
 
@@ -479,128 +476,6 @@ class TestPersistedOrders:
         )
 
 
-# -- compiled kernel tier: knobs and pure-python body parity ---------------
-
-
-class TestCompiledTier:
-    def test_storage_compiled_degrades_gracefully(self, data):
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="compiled")
-        expected = "compiled" if _kernels.compiled_available() else "vectorized"
-        assert index.kernel_mode == expected
-        assert index.storage == "packed"  # compiled implies the packed backend
-        w = Rect(0.2, 0.2, 0.7, 0.7)
-        assert ids_set(index.window_query(w)) == ids_set(
-            data.brute_force_window(w)
-        )
-
-    def test_env_default_flips_packed_indexes(self, data, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "compiled")
-        assert _kernels.compiled_kernel_default()
-        assert _kernels.resolve_kernel_mode(None) == (
-            _kernels.compiled_available()
-        )
-        assert _kernels.resolve_kernel_mode("legacy") is False
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
-        expected = "compiled" if _kernels.compiled_available() else "vectorized"
-        assert index.kernel_mode == expected
-        monkeypatch.delenv("REPRO_KERNEL")
-        assert _kernels.resolve_kernel_mode(None) is False
-        assert _kernels.resolve_kernel_mode("compiled") == (
-            _kernels.compiled_available()
-        )
-
-    def test_legacy_storage_never_compiled(self, data, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "compiled")
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="legacy")
-        assert index.kernel_mode == "vectorized"
-
-    # Direct parity of the kernel *bodies* (pure-python, numba-free):
-    # the same code numba jits, executed interpreted against the
-    # vectorised reference — so tier-1 CI proves the logic even though
-    # the compiled extra is absent there.
-
-    def test_window_scan_body_two_layer(self, data):
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
-        q = index._build_fast_q()
-        store = index._store
-        for w in _windows(data):
-            ix0, ix1, iy0, iy1 = index.grid.tile_range_for_window(w)
-            bounds = np.array(
-                [w.xl, -w.xu, w.yl, -w.yu, float(-ix0), float(-iy0)]
-            )
-            got = _kernels._window_scan_py(
-                q, store.ids, store.offsets, 4, index.grid.nx,
-                ix0, iy0, iy1, ix1 - ix0 + 1, bounds,
-            )
-            want = index.window_query(w)
-            np.testing.assert_array_equal(np.sort(got), np.sort(want))
-
-    @pytest.mark.parametrize("dedup", ("refpoint", "hash"))
-    def test_window_scan_body_one_layer(self, data, dedup):
-        index = OneLayerGrid.build(
-            data, partitions_per_dim=8, dedup=dedup, storage="packed"
-        )
-        q = index._build_fast_q()
-        store = index._store
-        for w in _windows(data):
-            ix0, ix1, iy0, iy1 = index.grid.tile_range_for_window(w)
-            if dedup == "refpoint":
-                qq = q
-                bounds = np.array(
-                    [w.xl, -w.xu, w.yl, -w.yu,
-                     float(-(ix0 - 1)), float(-ix0),
-                     float(-(iy0 - 1)), float(-iy0)]
-                )
-            else:
-                qq = q[:4]
-                bounds = np.array([w.xl, -w.xu, w.yl, -w.yu])
-            got = _kernels._window_scan_py(
-                qq, store.ids, store.offsets, 1, index.grid.nx,
-                ix0, iy0, iy1, ix1 - ix0 + 1, bounds,
-            )
-            if dedup == "hash":
-                got = np.unique(got)
-            assert ids_set(got) == ids_set(index.window_query(w)), w
-
-    def test_window_count_body(self, data):
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
-        q = index._build_fast_q()
-        store = index._store
-        for w in _windows(data):
-            ix0, ix1, iy0, iy1 = index.grid.tile_range_for_window(w)
-            bounds = np.array(
-                [w.xl, -w.xu, w.yl, -w.yu, float(-ix0), float(-iy0)]
-            )
-            got = _kernels._window_count_py(
-                q, store.offsets, 4, index.grid.nx,
-                ix0, iy0, iy1, ix1 - ix0 + 1, bounds,
-            )
-            assert int(got) == index.count_window(w), w
-
-    def test_disk_scan_body(self, data):
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
-        store = index._store
-        g = index.grid
-        queries = [
-            DiskQuery(0.5, 0.5, 0.2),
-            DiskQuery(0.0, 0.0, 0.3),   # clipped at the origin corner
-            DiskQuery(1.0, 1.0, 0.15),  # clipped at the far corner
-            DiskQuery(0.31, 0.31, 0.01),
-            DiskQuery(0.5, 0.5, 1.5),   # covers the whole domain
-        ]
-        for dq in queries:
-            ix0, ix1, iy0, iy1 = g.tile_range_for_window(dq.mbr())
-            got = _kernels._disk_scan_py(
-                store.offsets, store.xl, store.yl, store.xu, store.yu,
-                store.ids, g.nx, g.ny, g.domain.xl, g.domain.yl,
-                g.tile_w, g.tile_h, ix0, ix1, iy0, iy1,
-                dq.cx, dq.cy, dq.radius,
-            )
-            want = index.disk_query(dq)
-            assert got.shape[0] == want.shape[0], dq  # duplicate-free too
-            assert ids_set(got) == ids_set(want), dq
-
-
 # -- the file-backed shard arena -------------------------------------------
 
 
@@ -622,9 +497,7 @@ class TestFileArena:
         index = TwoLayerGrid.build(data, partitions_per_dim=8)
         path = tmp_path / "served.bin"
         save_index(index, path)
-        # The file arena is a packed-CSR feature: only a packed load
-        # records the container layout (legacy rebuilds tile dicts).
-        loaded = load_index(path, storage="packed")
+        loaded = load_index(path)
         manifest = self._manifest(loaded, self.CSR)
         seg, views = attach_arena(manifest, untrack=False)
         try:
@@ -648,7 +521,7 @@ class TestFileArena:
         index = TwoLayerGrid.build(data, partitions_per_dim=8)
         path = tmp_path / "served.bin"
         save_collection(index, data, path)
-        loaded = load_index(path, storage="packed")
+        loaded = load_index(path)
         bands = plan_bands(np.asarray(loaded._store.offsets[::4]), 2)
         manifest = self._manifest(
             loaded, self.CSR + ("data_xl", "data_yl", "data_xu", "data_yu")

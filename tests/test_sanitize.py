@@ -162,15 +162,10 @@ class TestFreeze:
 
     def test_check_snapshot_freezes_base_columns(self):
         data = generate_uniform_rects(300, area=1e-3, seed=11)
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         check_snapshot(index, "test")
         with pytest.raises(ValueError):
             index._store.ids[0] = 99
-
-    def test_check_snapshot_legacy_backend_is_noop(self):
-        data = generate_uniform_rects(100, area=1e-3, seed=11)
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="legacy")
-        check_snapshot(index, "test")
 
 
 class TestWindowCrossCheck:
@@ -230,13 +225,13 @@ class TestEnvGating:
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         data = generate_uniform_rects(200, area=1e-3, seed=3)
         # a clean build passes through the from_rows hook untripped
-        TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        TwoLayerGrid.build(data, partitions_per_dim=8)
 
     def test_corrupted_store_caught_at_query_time(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         monkeypatch.setenv("REPRO_SANITIZE_SAMPLE", "1")
         data = generate_uniform_rects(300, area=1e-3, seed=7)
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         store = index._store
         thaw(store)
         store.ids[:] = store.ids[0]  # smash the id column: mass duplicates
@@ -247,7 +242,7 @@ class TestEnvGating:
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         monkeypatch.setenv("REPRO_SANITIZE_SAMPLE", "1000000")
         data = generate_uniform_rects(300, area=1e-3, seed=7)
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         # wrong ids, but the sample period means this call is not checked
         on_window_query(index, Rect(0.0, 0.0, 1.0, 1.0), np.array([1, 1]))
 

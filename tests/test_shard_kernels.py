@@ -43,7 +43,7 @@ def make_data(n=4000, seed=21):
 
 def make_global(data):
     grid = GridPartitioner(NX, NY, DOMAIN)
-    index = TwoLayerGrid(grid, storage="packed")
+    index = TwoLayerGrid(grid)
     index._bulk_load(data)
     index._build_fast_q()
     return index
@@ -53,7 +53,7 @@ def make_shards(index):
     bands = plan_bands(index._store.offsets[::4], SHARDS)
     shards = []
     for band in bands:
-        s = BandedTwoLayerGrid(index.grid, band, storage="packed")
+        s = BandedTwoLayerGrid(index.grid, band)
         s._store = index._store
         s._n_objects = index._n_objects
         s._fast_q = index._fast_q
