@@ -1,16 +1,22 @@
-"""Fused-kernel micro-benchmark: 2-layer window latency vs tiles touched.
+"""Window-kernel micro-benchmark: 2-layer window latency vs tiles touched.
 
 Measures the per-query wall time of 2-layer window queries over the
 packed CSR base (:mod:`repro.grid.storage`) as a function of *tiles
-touched* (window area sweep).  The fused region kernels cost O(regions)
-vectorised passes, so latency should grow far slower than the number of
-tiles a query touches.
+touched* (window area sweep).  The window kernel costs one vectorised
+pass per grid row of the range, so latency should grow far slower than
+the number of tiles a query touches.
+
+The same windows are also timed on a *dirty* index — 100 deletes and
+100 inserts, not compacted — as the record-only ``dirty_latency_us``
+series: tombstones and overlay rows ride on the same kernel, so this
+should stay close to the clean latency.
 """
 
 from __future__ import annotations
 
 import functools
 
+import numpy as np
 import pytest
 
 from repro.bench import (
@@ -30,7 +36,11 @@ from conftest import report
 _AREAS = (0.05, 0.1, 0.5, 1.0)
 _DATASET = "ROADS"
 
+#: deletes and inserts applied (without compacting) to the dirty index.
+_DIRTY_UPDATES = 100
+
 _LATENCY: dict[str, float] = {}  # area label -> µs
+_DIRTY_LATENCY: dict[str, float] = {}  # area label -> µs, dirty index
 _TILES: dict[str, float] = {}  # area label -> mean tiles touched
 
 
@@ -39,6 +49,20 @@ def _index() -> TwoLayerGrid:
     return TwoLayerGrid.build(
         tiger_dataset(_DATASET), partitions_per_dim=BEST_GRANULARITY
     )
+
+
+@functools.cache
+def _dirty_index() -> TwoLayerGrid:
+    """The same index after deletes and inserts, left uncompacted."""
+    data = tiger_dataset(_DATASET)
+    index = TwoLayerGrid.build(data, partitions_per_dim=BEST_GRANULARITY)
+    rng = np.random.default_rng(13)
+    picks = rng.choice(len(data), size=2 * _DIRTY_UPDATES, replace=False)
+    for obj_id in picks[:_DIRTY_UPDATES]:
+        index.delete(data.rect(int(obj_id)), int(obj_id))
+    for k, obj_id in enumerate(picks[_DIRTY_UPDATES:]):
+        index.insert(data.rect(int(obj_id)), len(data) + k)
+    return index
 
 
 def _label(area: float) -> str:
@@ -61,23 +85,35 @@ def test_kernels_window_latency(benchmark, area):
     for w in queries:
         index.window_query(w, stats)
     _TILES[_label(area)] = stats.partitions_visited / len(queries)
+    dirty = _dirty_index()
+    timed = throughput(dirty.window_query, queries, repeats=3)
+    _DIRTY_LATENCY[_label(area)] = 1e6 / timed.qps
 
 
 def test_kernels_report(benchmark):
     """Assemble the latency-vs-tiles table and register the record."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    rows = [[_label(a), _TILES[_label(a)], _LATENCY[_label(a)]] for a in _AREAS]
+    rows = [
+        [
+            _label(a),
+            _TILES[_label(a)],
+            _LATENCY[_label(a)],
+            _DIRTY_LATENCY[_label(a)],
+        ]
+        for a in _AREAS
+    ]
     report(
         lambda: print_table(
-            "Fused kernels — per-query latency [µs] vs tiles touched "
+            "Window kernel — per-query latency [µs] vs tiles touched "
             f"(2-layer, {_DATASET}, window area sweep)",
-            ["area", "tiles", "packed µs"],
+            ["area", "tiles", "packed µs", "dirty µs"],
             rows,
         )
     )
     # The who-wins ordering inside the series (bigger windows are
     # slower) is scale-stable, so the regression gate never trips on
-    # smoke-scale CI runs.
+    # smoke-scale CI runs.  dirty_latency_us has no committed baseline,
+    # so it is recorded but not gated.
     emit_bench_record(
         "kernels",
         {
@@ -87,6 +123,7 @@ def test_kernels_report(benchmark):
         },
         {
             "packed_latency_us": dict(_LATENCY),
+            "dirty_latency_us": dict(_DIRTY_LATENCY),
             "tiles_touched": dict(_TILES),
         },
     )

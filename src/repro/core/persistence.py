@@ -322,7 +322,7 @@ def _load_columnar(
         views["ids"],
     )
     index._fast_q = views["fast_q"]
-    # _tile_row_bounds stays None; the fast kernels derive it lazily.
+    # _tile_row_bounds stays None; the window kernel derives it lazily.
     index._mmap_manifest = {
         "kind": "file",
         "path": os.path.abspath(os.fspath(path)),

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.grid.base import CLASS_A, CLASS_B, CLASS_C, CLASS_D
+from repro.grid.base import CLASS_A, CLASS_B, CLASS_C, CLASS_D, axis_segments
 
 __all__ = ["ClassPlan", "TilePlan", "plan_tile", "window_regions"]
 
@@ -119,17 +119,6 @@ def plan_tile(ix: int, iy: int, ix0: int, ix1: int, iy0: int, iy1: int) -> TileP
     return _PLANS[key]
 
 
-def _axis_segments(lo: int, hi: int) -> list[tuple[int, int, bool, bool]]:
-    """Split ``[lo, hi]`` into runs of uniform (at-start, at-end) flags."""
-    if lo == hi:
-        return [(lo, hi, True, True)]
-    segments = [(lo, lo, True, False)]
-    if hi - lo > 1:
-        segments.append((lo + 1, hi - 1, False, False))
-    segments.append((hi, hi, False, True))
-    return segments
-
-
 def window_regions(
     ix0: int, ix1: int, iy0: int, iy1: int
 ) -> list[tuple[int, int, int, int, TilePlan]]:
@@ -143,8 +132,8 @@ def window_regions(
     the range is thin.
     """
     out = []
-    for ay, by, at_y0, at_y1 in _axis_segments(iy0, iy1):
-        for ax, bx, at_x0, at_x1 in _axis_segments(ix0, ix1):
+    for ay, by, at_y0, at_y1 in axis_segments(iy0, iy1):
+        for ax, bx, at_x0, at_x1 in axis_segments(ix0, ix1):
             key = (
                 (8 if at_x0 else 0)
                 | (4 if at_x1 else 0)

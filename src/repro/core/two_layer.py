@@ -17,16 +17,23 @@ Storage
 
 The bulk-loaded base lives in one CSR
 :class:`~repro.grid.storage.PackedStore` keyed by fused ``(tile, class)``
-(see :mod:`repro.grid.storage`); queries run *fused kernels* that
-decompose the tile range into plan-uniform regions
-(:func:`~repro.core.selection.window_regions`) and evaluate each
-region's class with a single offsets walk + one vectorised comparison
-over the stitched rows — no Python-per-tile loop.  Inserts land in a
-per-tile *delta overlay* of :class:`~repro.grid.storage.TileTable`
-(O(1), Table VI) that the kernels scan tile by tile; deletes tombstone
-base rows in place; :meth:`compact` folds both back into a fresh base.
-Compaction is always explicit — queries never trigger it, so published
-snapshots can share the base by reference.
+(see :mod:`repro.grid.storage`).  Window queries have one kernel,
+:meth:`TwoLayerGrid._window_kernel`: per grid row of the query range
+the tiles form one contiguous row slab, answered by one broadcast
+comparison against a precomputed per-row query matrix that encodes
+the intersection test and the Lemma 1-2 class rule together — no
+Python-per-tile loop.  ``QueryStats`` accounting is an optional output
+of the same call, derived from the plan-uniform regions
+(:func:`~repro.core.selection.window_regions`) and the CSR group sizes
+alone.  The within, disk and chunk kernels walk those regions with one
+offsets walk + one vectorised comparison per class.
+
+Inserts land in a per-tile *delta overlay* of
+:class:`~repro.grid.storage.TileTable` (O(1), Table VI) that the
+kernels scan tile by tile; deletes tombstone base rows in place, and
+the kernels mask them out; :meth:`compact` folds both back into a
+fresh base.  Compaction is always explicit — queries never trigger it,
+so published snapshots can share the base by reference.
 """
 
 from __future__ import annotations
@@ -49,7 +56,12 @@ from repro.grid.base import (
     GridPartitioner,
     replicate,
 )
-from repro.grid.storage import PackedStore, TileTable, ranges_to_rows
+from repro.grid.storage import (
+    PackedStore,
+    TileTable,
+    overlay_tiles_in_range,
+    slab_runs,
+)
 from repro.core.selection import ClassPlan, TilePlan, plan_tile, window_regions
 from repro.obs.tracing import active as tracing_active, span as trace_span
 from repro.stats import QueryStats
@@ -102,10 +114,10 @@ class TwoLayerGrid:
         self._tiles: dict[int, list["TileTable | None"]] = {}
         self._n_objects = 0
         #: lazy per-row query matrix + per-tile row extents for the
-        #: single-comparison window kernel (rebuilt on :meth:`compact`,
+        #: single-comparison window kernel (rebuilt after :meth:`compact`,
         #: shared by reference across snapshot forks).
         self._fast_q: "np.ndarray | None" = None
-        self._tile_row_bounds: "np.ndarray | None" = None
+        self._tile_row_bounds: "list[int] | None" = None
 
     # -- construction ----------------------------------------------------
 
@@ -326,7 +338,7 @@ class TwoLayerGrid:
         ).ravel()
 
     def _row_slab(self) -> tuple[int, int]:
-        """Base rows ``[row_lo, row_hi)`` the fast window kernel reads.
+        """Base rows ``[row_lo, row_hi)`` the window kernel reads.
 
         The whole store; banded subclasses narrow it to their band's
         contiguous CSR slab (a tile band is one run of rows).
@@ -336,7 +348,7 @@ class TwoLayerGrid:
     def _base_regions(
         self, ix0: int, ix1: int, iy0: int, iy1: int
     ) -> list[tuple[int, int, int, int, TilePlan]]:
-        """Plan-uniform regions the fused kernels walk over the base.
+        """Plan-uniform regions the kernels and accounting walk over the base.
 
         Empty without a base: an index grown by inserts alone keeps every
         live row in the delta overlay, which the kernels scan per tile.
@@ -369,31 +381,10 @@ class TwoLayerGrid:
     def _delta_tiles_in_range(
         self, ix0: int, ix1: int, iy0: int, iy1: int
     ) -> list[int]:
-        """Sorted overlay tile ids inside a tile range.
-
-        Iterates whichever is smaller — the overlay dict or the range —
-        so an empty or tiny overlay costs nothing per query.
-        """
-        tiles = self._tiles
-        if not tiles:
-            return []
-        nx = self.grid.nx
-        if len(tiles) <= (ix1 - ix0 + 1) * (iy1 - iy0 + 1):
-            out = [
-                tid
-                for tid in tiles
-                if ix0 <= tid % nx <= ix1 and iy0 <= tid // nx <= iy1
-            ]
-        else:
-            out = [
-                base + ix
-                for iy in range(iy0, iy1 + 1)
-                for base in (iy * nx,)
-                for ix in range(ix0, ix1 + 1)
-                if base + ix in tiles
-            ]
-        out.sort()
-        return out
+        """Sorted overlay tile ids inside a tile range (a band hook)."""
+        return overlay_tiles_in_range(
+            self._tiles, self.grid.nx, ix0, ix1, iy0, iy1
+        )
 
     def _class_a_counts(self) -> dict[int, int]:
         """Per-tile live class-A counts (the selectivity histogram)."""
@@ -518,74 +509,107 @@ class TwoLayerGrid:
         """
         if self._n_objects == 0:
             return _EMPTY_IDS
-        if (
-            stats is None
-            and self._store is not None
-            and not self._tiles
-            and not self._store.n_dead
-            and tracing_active() is None
-        ):
-            # Hot route: tracing disabled, no accounting requested, and
-            # every live row sits in the immutable base — go straight to
-            # the single-comparison kernel with the tile range inlined
-            # (the span/context plumbing alone costs as much as the
-            # kernel at typical selectivities).
-            g = self.grid
-            d = g.domain
-            ix0 = int((window.xl - d.xl) / g.tile_w)
-            ix1 = int((window.xu - d.xl) / g.tile_w)
-            iy0 = int((window.yl - d.yl) / g.tile_h)
-            iy1 = int((window.yu - d.yl) / g.tile_h)
-            last = g.nx - 1
-            ix0 = 0 if ix0 < 0 else (last if ix0 > last else ix0)
-            ix1 = 0 if ix1 < 0 else (last if ix1 > last else ix1)
-            last = g.ny - 1
-            iy0 = 0 if iy0 < 0 else (last if iy0 > last else iy0)
-            iy1 = 0 if iy1 < 0 else (last if iy1 > last else iy1)
-            out = self._fused_window_fast(window, ix0, ix1, iy0, iy1)
-            self._on_window_result(window, out)
-            return out
-        with trace_span("query.window"):
-            with trace_span("filter.lookup"):
-                ix0, ix1, iy0, iy1 = self.grid.tile_range_for_window(window)
-            pieces: list[np.ndarray] = []
-            with trace_span("filter.scan"):
-                self._fused_window(window, ix0, ix1, iy0, iy1, pieces, stats)
-            with trace_span("dedup"):
-                pass  # duplicate-free by construction (Lemmas 1-2)
-            out = np.concatenate(pieces) if pieces else _EMPTY_IDS
+        if tracing_active() is None:
+            # The span/context plumbing alone costs as much as the kernel
+            # at typical selectivities, so untraced calls skip it.
+            ix0, ix1, iy0, iy1 = self.grid.tile_range_for_window(window)
+            out = self._window_kernel(window, ix0, ix1, iy0, iy1, stats)
+        else:
+            with trace_span("query.window"):
+                with trace_span("filter.lookup"):
+                    ix0, ix1, iy0, iy1 = self.grid.tile_range_for_window(window)
+                with trace_span("filter.scan"):
+                    out = self._window_kernel(window, ix0, ix1, iy0, iy1, stats)
+                with trace_span("dedup"):
+                    pass  # duplicate-free by construction (Lemmas 1-2)
         self._on_window_result(window, out)
         return out
 
-    def _fused_window(
+    def _window_kernel(
         self,
         window: Rect,
         ix0: int,
         ix1: int,
         iy0: int,
         iy1: int,
-        pieces: list[np.ndarray],
         stats: "QueryStats | None" = None,
-    ) -> None:
-        """Window kernel: one pass per (region, class).
+    ) -> np.ndarray:
+        """The window kernel: one broadcast comparison per CSR slab.
 
-        The tile range decomposes into at most 9 plan-uniform regions;
-        within a region each scanned class is one offsets walk over the
-        CSR base plus one vectorised comparison over the stitched rows —
-        the Python cost is O(regions · classes), not O(tiles).  Overlay
-        tiles fall back to the per-tile scan.
+        Per grid row the tiles ``ix0..ix1`` occupy one contiguous CSR
+        slab, answered by one broadcast ``>=`` against the
+        :meth:`_build_fast_q` matrix — class selection and intersection
+        test at once.  The comparisons §IV-B proves redundant are
+        tautologies there, so results match the per-class scan.  Slabs
+        are clamped to :meth:`_row_slab` and tombstones masked out;
+        overlay tiles are cut out of the slabs and scanned (and counted)
+        by :meth:`_scan_tile_window`.  The base's accounting comes from
+        :meth:`_window_stats`.
+        """
+        pieces: list[np.ndarray] = []
+        delta = self._delta_tiles_in_range(ix0, ix1, iy0, iy1)
+        store = self._store
+        if store is not None:
+            if stats is not None:
+                self._window_stats(ix0, ix1, iy0, iy1, delta, stats)
+            q = self._fast_q
+            if q is None:
+                q = self._build_fast_q()
+            tb = self._tile_row_bounds
+            if tb is None:
+                # A memmap-loaded index ships its query matrix but derives
+                # the scalar row extents lazily (keeps load from paging
+                # the offsets slab in before the first query).
+                tb = self._tile_row_bounds = store.offsets[::4].tolist()
+            ids = store.ids
+            dead = store.dead if store.n_dead else None
+            row_lo, row_hi = self._row_slab()
+            ge = np.greater_equal
+            band = np.logical_and.reduce
+            bounds = np.array(
+                [window.xl, -window.xu, window.yl, -window.yu,
+                 float(-ix0), float(-iy0)]
+            ).reshape(6, 1)
+            nx = self.grid.nx
+            for s0, s1 in slab_runs(
+                tb, iy0 * nx + ix0, ix1 - ix0 + 1, iy1 - iy0 + 1, nx,
+                delta, row_lo, row_hi,
+            ):
+                keep = band(ge(q[:, s0:s1], bounds), axis=0)
+                if dead is not None:
+                    # keep &= ~dead, without the temporary: on booleans
+                    # a > b is a and not b.
+                    np.greater(keep, dead[s0:s1], out=keep)
+                pieces.append(ids[s0:s1][keep])
+        for tile_id in delta:
+            plan = plan_tile(
+                tile_id % self.grid.nx, tile_id // self.grid.nx,
+                ix0, ix1, iy0, iy1,
+            )
+            self._scan_tile_window(tile_id, window, plan, pieces, stats)
+        if not pieces:
+            return _EMPTY_IDS
+        if len(pieces) == 1 and not delta:
+            return pieces[0]  # a fresh array; overlay pieces may be views
+        return np.concatenate(pieces)
+
+    def _window_stats(
+        self,
+        ix0: int,
+        ix1: int,
+        iy0: int,
+        iy1: int,
+        delta: list[int],
+        stats: QueryStats,
+    ) -> None:
+        """§IV-B accounting of a window query's base rows.
+
+        The classes a tile scans and the comparisons each needs depend
+        only on the tile's position in the range (Lemmas 1-4), so the
+        plan-uniform regions plus the live group sizes give every counter
+        without reading a row.  ``delta`` tiles are counted by their scan.
         """
         store = self._store
-        if (
-            stats is None
-            and not self._tiles
-            and store is not None
-            and not store.n_dead
-        ):
-            pieces.append(self._fused_window_fast(window, ix0, ix1, iy0, iy1))
-            return
-        nx = self.grid.nx
-        delta = self._delta_tiles_in_range(ix0, ix1, iy0, iy1)
         delta_arr = np.asarray(delta, dtype=np.int64) if delta else None
         for ax, bx, ay, by, plan in self._base_regions(ix0, ix1, iy0, iy1):
             tids = self._region_tids(ax, bx, ay, by)
@@ -593,52 +617,24 @@ class TwoLayerGrid:
                 tids = tids[~np.isin(tids, delta_arr)]
             if tids.shape[0] == 0:
                 continue
-            if stats is not None:
-                tile_tot = self._tile_live_counts(tids)
-                stats.partitions_visited += int(np.count_nonzero(tile_tot))
-                region_scanned = np.zeros(tids.shape[0], dtype=np.int64)
+            tile_tot = self._tile_live_counts(tids)
+            stats.partitions_visited += int(np.count_nonzero(tile_tot))
+            scanned = np.zeros(tids.shape[0], dtype=np.int64)
             for cp in plan.classes:
-                keys = tids * 4 + cp.code
-                starts = store.offsets[keys]
-                ends = store.offsets[keys + 1]
-                counts = ends - starts
-                if store.n_dead:
-                    counts = counts - store.dead_per_group[keys]
+                counts = store.live_counts_for(tids * 4 + cp.code)
                 total = int(counts.sum())
                 if total == 0:
                     continue
-                if stats is not None:
-                    stats.rects_scanned += total
-                    stats.comparisons += cp.n_comparisons * total
-                    region_scanned += counts
-                    name = CLASS_NAMES[cp.code]
-                    for _ in range(int(np.count_nonzero(counts))):
-                        stats.visit_class(name)
-                rows = ranges_to_rows(starts, ends)
-                if store.n_dead:
-                    rows = rows[~store.dead[rows]]
-                mask = None
-                if cp.xu_ge:
-                    mask = store.xu[rows] >= window.xl
-                if cp.xl_le:
-                    m = store.xl[rows] <= window.xu
-                    mask = m if mask is None else mask & m
-                if cp.yu_ge:
-                    m = store.yu[rows] >= window.yl
-                    mask = m if mask is None else mask & m
-                if cp.yl_le:
-                    m = store.yl[rows] <= window.yu
-                    mask = m if mask is None else mask & m
-                ids = store.ids[rows]
-                pieces.append(ids if mask is None else ids[mask])
-            if stats is not None:
-                stats.visit_tiles(tids, region_scanned, tile_tot)
-        for tile_id in delta:
-            plan = plan_tile(tile_id % nx, tile_id // nx, ix0, ix1, iy0, iy1)
-            self._scan_tile_window(tile_id, window, plan, pieces, stats)
+                stats.rects_scanned += total
+                stats.comparisons += cp.n_comparisons * total
+                scanned += counts
+                name = CLASS_NAMES[cp.code]
+                for _ in range(int(np.count_nonzero(counts))):
+                    stats.visit_class(name)
+            stats.visit_tiles(tids, scanned, tile_tot)
 
     def _build_fast_q(self) -> np.ndarray:
-        """Materialise the per-row query matrix for the fast kernel.
+        """Materialise the per-row query matrix of :meth:`_window_kernel`.
 
         Row ``r`` gets six float64 columns ``[xu, -xl, yu, -yl, cx, by]``
         where ``cx`` is ``-tile_ix`` for class C/D rows (``+inf``
@@ -676,68 +672,6 @@ class TwoLayerGrid:
         self._tile_row_bounds = store.offsets[::4].tolist()
         return q
 
-    # Intentionally stats-free: window_query only routes here when the
-    # caller passed stats=None (the REP004 waiver below is the visible
-    # contract; the stats-carrying twin is _fused_window).
-    def _fused_window_fast(  # repro-lint: disable=REP004
-        self,
-        window: Rect,
-        ix0: int,
-        ix1: int,
-        iy0: int,
-        iy1: int,
-    ) -> np.ndarray:
-        """Minimal-overhead window kernel (no stats/delta/tombstones).
-
-        Per grid row the tiles ``ix0..ix1`` occupy one contiguous CSR
-        slab (tile ids are consecutive, groups are tile-major), so the
-        whole query is one broadcast ``>=`` against the precomputed
-        :meth:`_build_fast_q` matrix per slab — class selection and the
-        intersection test in a single comparison.  Full four-way
-        comparisons are applied to every scanned row; the ones §IV-B
-        proves redundant are tautologies there, so the result set is
-        identical (the stats-carrying kernel keeps the exact per-class
-        comparison accounting).  Each slab is clamped to
-        :meth:`_row_slab`, the base rows this index answers for.
-        """
-        q = self._fast_q
-        if q is None:
-            q = self._build_fast_q()
-        tb = self._tile_row_bounds
-        if tb is None:
-            # A memmap-loaded index ships its query matrix but derives
-            # the scalar row extents lazily (keeps load from paging the
-            # offsets slab in before the first query).
-            tb = self._tile_row_bounds = self._store.offsets[::4].tolist()
-        ids = self._store.ids
-        row_lo, row_hi = self._row_slab()
-        ge = np.greater_equal
-        band = np.logical_and.reduce
-        bounds = np.array(
-            [window.xl, -window.xu, window.yl, -window.yu,
-             float(-ix0), float(-iy0)]
-        ).reshape(6, 1)
-        lo = iy0 * self.grid.nx + ix0
-        width = ix1 - ix0 + 1
-        pieces: list[np.ndarray] = []
-        for _ in range(iy0, iy1 + 1):
-            s0 = tb[lo]
-            s1 = tb[lo + width]
-            lo += self.grid.nx
-            if s0 < row_lo:
-                s0 = row_lo
-            if s1 > row_hi:
-                s1 = row_hi
-            if s0 >= s1:
-                continue
-            keep = band(ge(q[:, s0:s1], bounds), axis=0)
-            pieces.append(ids[s0:s1][keep])
-        if not pieces:
-            return _EMPTY_IDS
-        if len(pieces) == 1:
-            return pieces[0]
-        return np.concatenate(pieces)
-
     def _scan_tile_window(
         self,
         tile_id: int,
@@ -749,7 +683,7 @@ class TwoLayerGrid:
         """Scan one tile's relevant secondary partitions for one window.
 
         Appends the qualifying id arrays to ``pieces``.  Shared by the
-        overlay-tile path of :meth:`_fused_window` and the tiles-based
+        overlay-tile path of :meth:`_window_kernel` and the tiles-based
         batch evaluator (:mod:`repro.core.batch`), whose subtasks are
         exactly calls of this method.
         """
@@ -796,6 +730,8 @@ class TwoLayerGrid:
         store = self._store
         nx = self.grid.nx
         delta = self._delta_tiles_in_range(ix0, ix1, iy0, iy1)
+        if stats is not None and store is not None:
+            self._window_stats(ix0, ix1, iy0, iy1, delta, stats)
         delta_arr = np.asarray(delta, dtype=np.int64) if delta else None
         for ax, bx, ay, by, plan in self._base_regions(ix0, ix1, iy0, iy1):
             tids = self._region_tids(ax, bx, ay, by)
@@ -803,22 +739,11 @@ class TwoLayerGrid:
                 tids = tids[~np.isin(tids, delta_arr)]
             if tids.shape[0] == 0:
                 continue
-            if stats is not None:
-                tile_tot = self._tile_live_counts(tids)
-                stats.partitions_visited += int(np.count_nonzero(tile_tot))
             for cp in plan.classes:
                 keys = tids * 4 + cp.code
-                counts = store.live_counts_for(keys)
-                total = int(counts.sum())
-                if total == 0:
-                    continue
-                if stats is not None:
-                    stats.rects_scanned += total
-                    stats.comparisons += cp.n_comparisons * total
-                    name = CLASS_NAMES[cp.code]
-                    for _ in range(int(np.count_nonzero(counts))):
-                        stats.visit_class(name)
                 rows = store.gather(keys)
+                if rows.shape[0] == 0:
+                    continue
                 cols = (
                     store.xl[rows],
                     store.yl[rows],

@@ -254,13 +254,7 @@ class TwoLayerPlusGrid(TwoLayerGrid):
         # query matrix answers the same question in one comparison pass,
         # which beats a binary search per partition under NumPy dispatch
         # costs at smoke scale and ties at full scale.
-        if (
-            stats is None
-            and self._store is not None
-            and not self._tiles
-            and not self._store.n_dead
-            and tracing_active() is None
-        ):
+        if stats is None and tracing_active() is None:
             return super().window_query(window)
         with trace_span("query.window"):
             return self._window_query_traced(window, stats)

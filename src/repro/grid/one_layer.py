@@ -12,7 +12,11 @@ Comparing this index against :class:`repro.core.two_layer.TwoLayerGrid`
 isolates exactly the contribution of the paper's secondary partitioning.
 Storage mirrors it: a packed CSR base with one group per tile, plus a
 per-tile :class:`~repro.grid.storage.TileTable` delta overlay for inserts
-(see :mod:`repro.grid.storage`).
+(see :mod:`repro.grid.storage`).  So does the window path: one kernel,
+:meth:`OneLayerGrid._window_kernel`, scans each grid row of the query
+range as one CSR slab with the reference-point test folded into the
+same broadcast comparison, masks tombstones, scans overlay tiles one by
+one, and derives ``QueryStats`` from the CSR group sizes when asked.
 """
 
 from __future__ import annotations
@@ -24,9 +28,14 @@ from repro.datasets.dataset import RectDataset
 from repro.datasets.queries import DiskQuery
 from repro.errors import IndexStateError, InvalidGridError
 from repro.geometry.mbr import Rect, max_dist_point_rect
-from repro.grid.base import GridPartitioner, replicate
+from repro.grid.base import GridPartitioner, axis_segments, replicate
 from repro.grid.dedup import ActiveBorder, reference_point_keep_mask
-from repro.grid.storage import PackedStore, TileTable
+from repro.grid.storage import (
+    PackedStore,
+    TileTable,
+    overlay_tiles_in_range,
+    slab_runs,
+)
 from repro.obs.tracing import active as tracing_active, span as trace_span
 from repro.stats import QueryStats
 
@@ -34,16 +43,7 @@ __all__ = ["OneLayerGrid", "DEDUP_METHODS"]
 
 DEDUP_METHODS = ("refpoint", "hash", "active_border")
 
-
-def _axis_segments(lo: int, hi: int) -> list[tuple[int, int, bool, bool]]:
-    """Split ``[lo, hi]`` into runs of uniform (at-start, at-end) flags."""
-    if lo == hi:
-        return [(lo, hi, True, True)]
-    segments = [(lo, lo, True, False)]
-    if hi - lo > 1:
-        segments.append((lo + 1, hi - 1, False, False))
-    segments.append((hi, hi, False, True))
-    return segments
+_EMPTY_IDS = np.empty(0, dtype=np.int64)
 
 
 class OneLayerGrid:
@@ -177,39 +177,6 @@ class OneLayerGrid:
             return base
         return tuple(np.concatenate([b, d]) for b, d in zip(base, delta))
 
-    def _tile_has_rows(self, tile_id: int) -> bool:
-        if tile_id in self._tiles:
-            return True
-        store = self._store
-        if store is None:
-            return False
-        return int(store.live_counts_for(np.asarray([tile_id]))[0]) > 0
-
-    def _delta_tiles_in_range(
-        self, ix0: int, ix1: int, iy0: int, iy1: int
-    ) -> list[int]:
-        """Sorted overlay tile ids inside a tile range."""
-        tiles = self._tiles
-        if not tiles:
-            return []
-        nx = self.grid.nx
-        if len(tiles) <= (ix1 - ix0 + 1) * (iy1 - iy0 + 1):
-            out = [
-                tid
-                for tid in tiles
-                if ix0 <= tid % nx <= ix1 and iy0 <= tid // nx <= iy1
-            ]
-        else:
-            out = [
-                base + ix
-                for iy in range(iy0, iy1 + 1)
-                for base in (iy * nx,)
-                for ix in range(ix0, ix1 + 1)
-                if base + ix in tiles
-            ]
-        out.sort()
-        return out
-
     def compact(self) -> None:
         """Fold the delta overlay and tombstones into a fresh packed base.
 
@@ -294,52 +261,21 @@ class OneLayerGrid:
         the two-layer index avoids.
         """
         if self._n_objects == 0:
-            return np.empty(0, dtype=np.int64)
-        if (
-            stats is None
-            and self._store is not None
-            and not self._tiles
-            and not self._store.n_dead
-            and self.dedup != "active_border"
-            and tracing_active() is None
-        ):
-            g = self.grid
-            d = g.domain
-            ix0 = int((window.xl - d.xl) / g.tile_w)
-            ix1 = int((window.xu - d.xl) / g.tile_w)
-            iy0 = int((window.yl - d.yl) / g.tile_h)
-            iy1 = int((window.yu - d.yl) / g.tile_h)
-            last = g.nx - 1
-            ix0 = 0 if ix0 < 0 else (last if ix0 > last else ix0)
-            ix1 = 0 if ix1 < 0 else (last if ix1 > last else ix1)
-            last = g.ny - 1
-            iy0 = 0 if iy0 < 0 else (last if iy0 > last else iy0)
-            iy1 = 0 if iy1 < 0 else (last if iy1 > last else iy1)
-            out = self._fused_window_fast(window, ix0, ix1, iy0, iy1)
-            if _sanitize.enabled():
-                _sanitize.on_window_query(self, window, out)
-            return out
-        with trace_span("query.window"):
-            with trace_span("filter.lookup"):
-                ix0, ix1, iy0, iy1 = self.grid.tile_range_for_window(window)
-            with trace_span("filter.scan"):
-                pieces = self._scan_window_tiles(window, ix0, ix1, iy0, iy1, stats)
-            # The terminal duplicate-elimination stage (hash mode); the
-            # refpoint / active-border tests run per tile inside the scan
-            # and are accounted by the dedup_checks counter instead.
-            with trace_span("dedup"):
-                if not pieces:
-                    out = np.empty(0, dtype=np.int64)
-                else:
-                    out = np.concatenate(pieces)
-                    if self.dedup == "hash":
-                        deduped = np.unique(out)
-                        if stats is not None:
-                            stats.dedup_checks += out.shape[0]
-                            stats.duplicates_generated += int(
-                                out.shape[0] - deduped.shape[0]
-                            )
-                        out = deduped
+            return _EMPTY_IDS
+        if tracing_active() is None:
+            ix0, ix1, iy0, iy1 = self.grid.tile_range_for_window(window)
+            out = self._window_kernel(window, ix0, ix1, iy0, iy1, stats)
+        else:
+            with trace_span("query.window"):
+                with trace_span("filter.lookup"):
+                    ix0, ix1, iy0, iy1 = self.grid.tile_range_for_window(window)
+                with trace_span("filter.scan"):
+                    out = self._window_kernel(window, ix0, ix1, iy0, iy1, stats)
+                # Every technique eliminates inside the kernel (its work
+                # is counted by dedup_checks); the phase is kept so span
+                # trees line up across index families.
+                with trace_span("dedup"):
+                    pass
         if _sanitize.enabled():
             _sanitize.on_window_query(self, window, out)
         return out
@@ -388,96 +324,6 @@ class OneLayerGrid:
         self._tile_row_bounds = store.offsets.tolist()
         return q
 
-    # Intentionally stats-free: window_query only routes here when the
-    # caller passed stats=None (the stats-carrying scan keeps §IV-B
-    # comparison accounting), hence the REP004 waiver.
-    def _fused_window_fast(  # repro-lint: disable=REP004
-        self, window: Rect, ix0: int, ix1: int, iy0: int, iy1: int
-    ) -> np.ndarray:
-        """Stats-free window kernel: one comparison pass per grid row.
-
-        Each grid row of the query rectangle is one contiguous CSR slab;
-        the precomputed matrix folds intersection and reference-point
-        dedup into a single broadcast ``>=``.  The hash technique skips
-        the dedup columns and squashes duplicates terminally; the
-        stats-carrying scan keeps the paper's exact §IV-B comparison
-        accounting.
-        """
-        q = self._fast_q
-        if q is None:
-            q = self._build_fast_q()
-        tb = self._tile_row_bounds
-        if tb is None:
-            # Memmap-loaded indexes defer this materialisation so loading
-            # touches no slab bytes; derive the row extents on first use.
-            tb = self._tile_row_bounds = self._store.offsets.tolist()
-        ids = self._store.ids
-        ge = np.greater_equal
-        band = np.logical_and.reduce
-        if self.dedup == "refpoint":
-            bounds = np.array(
-                [
-                    window.xl,
-                    -window.xu,
-                    window.yl,
-                    -window.yu,
-                    float(-(ix0 - 1)),
-                    float(-ix0),
-                    float(-(iy0 - 1)),
-                    float(-iy0),
-                ]
-            ).reshape(8, 1)
-        else:  # hash: plain intersection filter, duplicates squashed below
-            q = q[:4]
-            bounds = np.array(
-                [window.xl, -window.xu, window.yl, -window.yu]
-            ).reshape(4, 1)
-        lo = iy0 * self.grid.nx + ix0
-        width = ix1 - ix0 + 1
-        pieces: list[np.ndarray] = []
-        for _ in range(iy0, iy1 + 1):
-            s0 = tb[lo]
-            s1 = tb[lo + width]
-            lo += self.grid.nx
-            if s0 == s1:
-                continue
-            keep = band(ge(q[:, s0:s1], bounds), axis=0)
-            pieces.append(ids[s0:s1][keep])
-        if not pieces:
-            return np.empty(0, dtype=np.int64)
-        out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        if self.dedup == "hash":
-            return np.unique(out)
-        return out
-
-    def _scan_window_tiles(
-        self,
-        window: Rect,
-        ix0: int,
-        ix1: int,
-        iy0: int,
-        iy1: int,
-        stats: "QueryStats | None",
-    ) -> list[np.ndarray]:
-        """Candidate scan with in-scan dedup for refpoint/border.
-
-        The refpoint and hash techniques run the fused region kernel; the
-        active-border sweep is inherently sequential in row-major tile
-        order, so it scans per tile.
-        """
-        if self.dedup != "active_border":
-            return self._fused_window_tiles(window, ix0, ix1, iy0, iy1, stats)
-        pieces: list[np.ndarray] = []
-        border = ActiveBorder()
-        for iy in range(iy0, iy1 + 1):
-            border.start_row(iy)
-            base = iy * self.grid.nx
-            for ix in range(ix0, ix1 + 1):
-                self._scan_tile_window(
-                    base + ix, window, ix0, ix1, iy0, iy1, pieces, stats, border
-                )
-        return pieces
-
     def _scan_tile_window(
         self,
         tile_id: int,
@@ -492,9 +338,9 @@ class OneLayerGrid:
     ) -> None:
         """Scan one tile for one window, dedup included.
 
-        The per-tile path: every tile of the active-border sweep (which
-        passes its ``border``), and the overlay tiles of the fused
-        kernel.
+        The per-tile path of :meth:`_window_kernel`: every tile of the
+        active-border sweep (which passes its ``border``), and the
+        overlay tiles of the slab kernel.
         """
         cols = self._tile_columns(tile_id)
         if cols is None:
@@ -543,102 +389,147 @@ class OneLayerGrid:
                     stats.duplicates_generated += 1
             pieces.append(np.asarray(kept, dtype=np.int64))
 
-    def _fused_window_tiles(
+    def _window_kernel(
         self,
         window: Rect,
         ix0: int,
         ix1: int,
         iy0: int,
         iy1: int,
-        stats: "QueryStats | None",
-    ) -> list[np.ndarray]:
-        """Fused window kernel (refpoint / hash dedup).
+        stats: "QueryStats | None" = None,
+    ) -> np.ndarray:
+        """The window kernel: one comparison pass per CSR slab, dedup included.
 
-        The tile range decomposes into at most 9 regions of uniform
-        §IV-B comparison sets; each region is one offsets walk over the
-        CSR base plus one vectorised comparison pass — including the
-        reference-point test, which generalises across tiles by carrying
-        per-row tile coordinates.  Overlay tiles fall back to per-tile,
-        and without a base (an index grown by inserts alone) every live
-        row is an overlay row.
+        Each grid row of the query range is one CSR slab; the matrix
+        folds intersection and reference-point dedup into one broadcast
+        ``>=``.  With ``stats`` the two halves reduce separately so the
+        dropped duplicates can be counted.  Hash skips the dedup columns
+        and squashes duplicates terminally; the active-border sweep is
+        sequential in row-major tile order, so it scans tile by tile.
+        Tombstones are masked out; overlay tiles are cut out of the
+        slabs and scanned (and counted) by :meth:`_scan_tile_window`.
+        """
+        pieces: list[np.ndarray] = []
+        if self.dedup == "active_border":
+            border = ActiveBorder()
+            for iy in range(iy0, iy1 + 1):
+                border.start_row(iy)
+                base = iy * self.grid.nx
+                for ix in range(ix0, ix1 + 1):
+                    self._scan_tile_window(
+                        base + ix, window, ix0, ix1, iy0, iy1, pieces, stats,
+                        border,
+                    )
+            return np.concatenate(pieces) if pieces else _EMPTY_IDS
+        refpoint = self.dedup == "refpoint"
+        delta = overlay_tiles_in_range(
+            self._tiles, self.grid.nx, ix0, ix1, iy0, iy1
+        )
+        store = self._store
+        if store is not None:
+            if stats is not None:
+                self._window_stats(ix0, ix1, iy0, iy1, delta, stats)
+            q = self._fast_q
+            if q is None:
+                q = self._build_fast_q()
+            tb = self._tile_row_bounds
+            if tb is None:
+                # Memmap-loaded indexes defer this materialisation so
+                # loading touches no slab bytes; derive it on first use.
+                tb = self._tile_row_bounds = store.offsets.tolist()
+            ids = store.ids
+            dead = store.dead if store.n_dead else None
+            ge = np.greater_equal
+            band = np.logical_and.reduce
+            bounds = np.array(
+                [
+                    window.xl,
+                    -window.xu,
+                    window.yl,
+                    -window.yu,
+                    float(-(ix0 - 1)),
+                    float(-ix0),
+                    float(-(iy0 - 1)),
+                    float(-iy0),
+                ]
+            ).reshape(8, 1)
+            # Fold the dedup columns into the one reduction unless they
+            # must be counted apart; hash only filters.
+            fold = refpoint and stats is None
+            q_hit = q if fold else q[:4]
+            b_hit = bounds if fold else bounds[:4]
+            nx = self.grid.nx
+            for s0, s1 in slab_runs(
+                tb, iy0 * nx + ix0, ix1 - ix0 + 1, iy1 - iy0 + 1, nx,
+                delta, 0, store.n_rows,
+            ):
+                keep = band(ge(q_hit[:, s0:s1], b_hit), axis=0)
+                if dead is not None:
+                    # keep &= ~dead, without the temporary: on booleans
+                    # a > b is a and not b.
+                    np.greater(keep, dead[s0:s1], out=keep)
+                if refpoint and stats is not None:
+                    hits = int(np.count_nonzero(keep))
+                    keep &= band(ge(q[4:, s0:s1], bounds[4:]), axis=0)
+                    stats.dedup_checks += hits
+                    stats.duplicates_generated += hits - int(
+                        np.count_nonzero(keep)
+                    )
+                pieces.append(ids[s0:s1][keep])
+        for tile_id in delta:
+            self._scan_tile_window(
+                tile_id, window, ix0, ix1, iy0, iy1, pieces, stats
+            )
+        if not pieces:
+            return _EMPTY_IDS
+        out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        if refpoint:
+            return out
+        deduped = np.unique(out)
+        if stats is not None:
+            stats.dedup_checks += out.shape[0]
+            stats.duplicates_generated += int(out.shape[0] - deduped.shape[0])
+        return deduped
+
+    def _window_stats(
+        self,
+        ix0: int,
+        ix1: int,
+        iy0: int,
+        iy1: int,
+        delta: list[int],
+        stats: QueryStats,
+    ) -> None:
+        """§IV-B scan accounting of a window query's base rows.
+
+        A tile's comparisons depend only on whether it is a first/last
+        tile of the range per dimension, so the up-to-nine uniform regions
+        plus the live tile sizes give the counters without reading a
+        row.  ``delta`` tiles are counted by their scan.
         """
         store = self._store
-        grid = self.grid
-        nx = grid.nx
-        pieces: list[np.ndarray] = []
-        delta = self._delta_tiles_in_range(ix0, ix1, iy0, iy1)
+        nx = self.grid.nx
         delta_arr = np.asarray(delta, dtype=np.int64) if delta else None
-        y_segments = _axis_segments(iy0, iy1) if store is not None else []
-        for ay, by, at_y0, at_y1 in y_segments:
-            for ax, bx, at_x0, at_x1 in _axis_segments(ix0, ix1):
+        for ay, by, at_y0, at_y1 in axis_segments(iy0, iy1):
+            for ax, bx, at_x0, at_x1 in axis_segments(ix0, ix1):
                 tids = (
                     np.arange(ay, by + 1, dtype=np.int64)[:, None] * nx
                     + np.arange(ax, bx + 1, dtype=np.int64)[None, :]
                 ).ravel()
                 if delta_arr is not None:
                     tids = tids[~np.isin(tids, delta_arr)]
-                    if tids.shape[0] == 0:
-                        continue
                 counts = store.live_counts_for(tids)
                 total = int(counts.sum())
                 if total == 0:
                     continue
-                n_comparisons = (
-                    int(at_x0) + int(at_x1) + int(at_y0) + int(at_y1)
-                )
-                if stats is not None:
-                    stats.partitions_visited += int(np.count_nonzero(counts))
-                    stats.rects_scanned += total
-                    stats.comparisons += n_comparisons * total
-                    for _ in range(int(np.count_nonzero(counts))):
-                        stats.visit_class("tile")
-                    stats.visit_tiles(tids, counts, counts)
-                rows = store.gather(tids)
-                mask: "np.ndarray | None" = None
-                if at_x0:
-                    mask = store.xu[rows] >= window.xl
-                if at_x1:
-                    m = store.xl[rows] <= window.xu
-                    mask = m if mask is None else mask & m
-                if at_y0:
-                    m = store.yu[rows] >= window.yl
-                    mask = m if mask is None else mask & m
-                if at_y1:
-                    m = store.yl[rows] <= window.yu
-                    mask = m if mask is None else mask & m
-                if mask is None:
-                    cand_rows = rows
-                else:
-                    cand_rows = rows[mask]
-                if cand_rows.shape[0] == 0:
-                    continue
-                cand_ids = store.ids[cand_rows]
-                if self.dedup == "hash":
-                    pieces.append(cand_ids)
-                    continue
-                # Reference-point test over the stitched rows: each row
-                # keeps its own tile coordinates.
-                tix_rows = np.repeat(tids % nx, counts)
-                tiy_rows = np.repeat(tids // nx, counts)
-                if mask is not None:
-                    tix_rows = tix_rows[mask]
-                    tiy_rows = tiy_rows[mask]
-                px = np.maximum(store.xl[cand_rows], window.xl)
-                py = np.maximum(store.yl[cand_rows], window.yl)
-                keep = (grid.tile_ix_array(px) == tix_rows) & (
-                    grid.tile_iy_array(py) == tiy_rows
-                )
-                if stats is not None:
-                    stats.dedup_checks += cand_ids.shape[0]
-                    stats.duplicates_generated += int(
-                        cand_ids.shape[0] - keep.sum()
-                    )
-                pieces.append(cand_ids[keep])
-        for tile_id in delta:
-            self._scan_tile_window(
-                tile_id, window, ix0, ix1, iy0, iy1, pieces, stats
-            )
-        return pieces
+                n_comparisons = int(at_x0) + int(at_x1) + int(at_y0) + int(at_y1)
+                visited = int(np.count_nonzero(counts))
+                stats.partitions_visited += visited
+                stats.rects_scanned += total
+                stats.comparisons += n_comparisons * total
+                for _ in range(visited):
+                    stats.visit_class("tile")
+                stats.visit_tiles(tids, counts, counts)
 
     @staticmethod
     def _window_mask(
@@ -697,7 +588,7 @@ class OneLayerGrid:
         queries").
         """
         if self._n_objects == 0:
-            return np.empty(0, dtype=np.int64)
+            return _EMPTY_IDS
         with trace_span("query.disk"):
             with trace_span("filter.lookup"):
                 window = query.mbr()
@@ -707,7 +598,7 @@ class OneLayerGrid:
             with trace_span("dedup"):
                 pass  # reference-point test runs per tile inside the scan
             if not pieces:
-                return np.empty(0, dtype=np.int64)
+                return _EMPTY_IDS
             return np.concatenate(pieces)
 
     def _scan_disk_tiles(

@@ -22,7 +22,7 @@ Two complementary layouts live here:
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Collection, Iterator
 
 import numpy as np
 
@@ -32,7 +32,9 @@ __all__ = [
     "TileTable",
     "PackedStore",
     "group_rows",
+    "overlay_tiles_in_range",
     "ranges_to_rows",
+    "slab_runs",
 ]
 
 _EMPTY_F = np.empty(0, dtype=np.float64)
@@ -125,6 +127,34 @@ class TileTable:
         )
 
 
+def overlay_tiles_in_range(
+    tiles: Collection[int], nx: int, ix0: int, ix1: int, iy0: int, iy1: int
+) -> list[int]:
+    """Sorted ids of the delta-overlay tiles inside a tile range.
+
+    Iterates whichever is smaller — the overlay dict or the range — so
+    an empty or tiny overlay costs nothing per query.
+    """
+    if not tiles:
+        return []
+    if len(tiles) <= (ix1 - ix0 + 1) * (iy1 - iy0 + 1):
+        out = [
+            tid
+            for tid in tiles
+            if ix0 <= tid % nx <= ix1 and iy0 <= tid // nx <= iy1
+        ]
+    else:
+        out = [
+            base + ix
+            for iy in range(iy0, iy1 + 1)
+            for base in (iy * nx,)
+            for ix in range(ix0, ix1 + 1)
+            if base + ix in tiles
+        ]
+    out.sort()
+    return out
+
+
 def group_rows(
     keys: np.ndarray, order: "np.ndarray | None" = None
 ) -> "Iterator[tuple[int, np.ndarray]]":
@@ -163,6 +193,47 @@ def ranges_to_rows(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     shifts = np.cumsum(counts)
     out = np.arange(total, dtype=np.int64)
     out += np.repeat(starts - (shifts - counts), counts)
+    return out
+
+
+def slab_runs(
+    bounds: "list[int]",
+    first: int,
+    width: int,
+    n_grid_rows: int,
+    stride: int,
+    skip: "list[int]",
+    lo: int,
+    hi: int,
+) -> list[tuple[int, int]]:
+    """Row runs of a block of CSR tiles, minus the tiles in ``skip``.
+
+    Tile ``t`` owns rows ``[bounds[t], bounds[t + 1])``; the block is
+    ``n_grid_rows`` runs of ``width`` tiles starting at tile ``first``,
+    ``stride`` apart.  Each run is split around the (sorted) ``skip``
+    tiles and clamped to ``[lo, hi)``; empty runs are dropped.
+    """
+    out: list[tuple[int, int]] = []
+    k = 0
+    n_skip = len(skip)
+    for _ in range(n_grid_rows):
+        t = first
+        end = first + width
+        first += stride
+        while t < end:
+            stop = end
+            if k < n_skip and skip[k] < end:
+                stop = skip[k]
+                k += 1
+            s0 = bounds[t]
+            s1 = bounds[stop]
+            if s0 < lo:
+                s0 = lo
+            if s1 > hi:
+                s1 = hi
+            if s0 < s1:
+                out.append((s0, s1))
+            t = stop + 1
     return out
 
 

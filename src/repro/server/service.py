@@ -93,10 +93,11 @@ class ServerConfig:
     #: tile-heat exponential-decay half life [s]; 0 disables decay.
     heat_half_life_s: float = 600.0
     #: feed kernel QueryStats into the heat map on 1-in-N batches only.
-    #: Stats-threaded kernels give up the stats-free fast path, so this
-    #: is the dominant telemetry cost; 1-in-32 keeps the heat map fed
-    #: (thousands of samples per decay half-life at serving rates) while
-    #: staying inside the 3% serving overhead budget.
+    #: The accounting walk behind a stats-threaded query costs several
+    #: times the kernel, so this is the dominant telemetry cost; 1-in-32
+    #: keeps the heat map fed (thousands of samples per decay half-life
+    #: at serving rates) while staying inside the 3% serving overhead
+    #: budget.
     heat_sample: int = 32
     #: retain 1-in-N *untraced* requests in the trace ring (client-traced
     #: and over-threshold requests are always retained).

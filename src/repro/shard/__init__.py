@@ -23,7 +23,7 @@ Modules
     banding commutes with it).
 :mod:`~repro.shard.shm`
     Single-arena ``multiprocessing.shared_memory`` publication of the
-    PackedStore columns + dataset columns + fast-path query matrix.
+    PackedStore columns + dataset columns + window query matrix.
 :mod:`~repro.shard.wire`
     The internal router<->worker NDJSON envelope protocol.
 :mod:`~repro.shard.worker`

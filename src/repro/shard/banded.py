@@ -15,14 +15,14 @@ invariant intact:
   union of band results over all shards equals the global result with
   no duplicates and no misses — the scatter-gather merge is pure
   concatenation;
-* a band is a contiguous CSR row slab, so the stats-free fast kernel
-  bands by clamping each per-grid-row slab intersection to
-  ``[row_lo, row_hi)`` — still one broadcast comparison per row.
+* a band is a contiguous CSR row slab, so the window kernel bands by
+  clamping each per-grid-row slab run to ``[row_lo, row_hi)`` — still
+  one broadcast comparison per run.
 
 The clamp rides on parent hooks: :meth:`~repro.core.two_layer
-.TwoLayerGrid._region_tids` (fused window/within/chunk kernels),
-:meth:`~repro.core.two_layer.TwoLayerGrid._row_slab` (the stats-free
-fast window kernel), :meth:`~repro.core.two_layer.TwoLayerGrid
+.TwoLayerGrid._region_tids` (window accounting, within and chunk
+kernels), :meth:`~repro.core.two_layer.TwoLayerGrid._row_slab` (the
+window kernel's slabs), :meth:`~repro.core.two_layer.TwoLayerGrid
 ._tile_has_rows` (per-tile paths and the tiles-based batch evaluators),
 the overlay and disk-job filters, and :meth:`~repro.core.two_layer
 .TwoLayerGrid._fork_shell` (snapshot forks keep the band).  kNN is *not*

@@ -138,7 +138,7 @@ def bands_for_range(
 
     Ascending shard order — which is ascending tile order, so merging
     per-shard results in this order preserves the global CSR row order
-    on the fast path.
+    of a clean index's window results.
     """
     return [
         band.shard

@@ -4,7 +4,7 @@ Two arena kinds hide behind one manifest shape (``manifest["kind"]``):
 
 * ``"shm"`` — the router copies the packed CSR columns (offsets + 4
   coordinate columns + ids), the dataset columns and the precomputed
-  fast-path query matrix into **one** ``multiprocessing.shared_memory``
+  window query matrix into **one** ``multiprocessing.shared_memory``
   arena, 64-byte aligned per array.  Workers attach read-only views —
   zero copies, zero serialization, and the (6, N) query matrix is built
   once and shared by every shard.

@@ -2,7 +2,7 @@
 
 One worker per shard, spawned by the router.  A worker rebuilds the
 full serving state without copying a byte of column data — the packed
-CSR base, the dataset columns and the fast-path query matrix are all
+CSR base, the dataset columns and the window query matrix are all
 read-only views into the router's shm arena — wraps it in a
 :class:`~repro.shard.banded.BandedTwoLayerGrid` clamped to its band,
 and serves a strictly sequential asyncio loop over a single TCP

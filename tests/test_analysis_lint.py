@@ -295,3 +295,36 @@ def test_repo_source_tree_has_nothing_to_fix(tmp_path):
         assert fix_unused_imports(path.as_posix(), source) == (source, 0), (
             path.as_posix()
         )
+
+
+def test_rep004_waiver_inventory():
+    """The stats-free inventory is pinned: one pure mask helper.
+
+    Every window kernel threads ``QueryStats``; a REP004 waiver marks a
+    function that compares coordinates without it.  A new waiver — a
+    stats-free twin of a kernel, say — has to be added here on purpose.
+    """
+    import ast
+
+    from repro.analysis.lint import _collect_suppressions, iter_python_files
+
+    waived = set()
+    for path in iter_python_files([str(REPO_SRC)]):
+        source = path.read_text(encoding="utf-8")
+        lines, whole_file = _collect_suppressions(source)
+        assert not {"REP004", "all"} & whole_file, path.as_posix()
+        waiver_lines = {
+            line
+            for line, codes in lines.items()
+            if "REP004" in codes or "all" in codes
+        }
+        if not waiver_lines:
+            continue
+        defs = {
+            node.lineno: node.name
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        for line in waiver_lines:
+            waived.add(f"{path.stem}.{defs.get(line, line)}")
+    assert waived == {"two_layer._window_class_mask"}

@@ -80,6 +80,48 @@ class TestGridPartitioner:
     def test_tile_range_for_window(self):
         g = GridPartitioner(4, 4)
         assert g.tile_range_for_window(Rect(0.1, 0.1, 0.6, 0.3)) == (0, 2, 0, 1)
+        # The inlined clamp must agree with tile_ix/tile_iy everywhere:
+        # out of the domain, on tile borders and for degenerate windows.
+        t = 1.0 / 3
+        cases = {
+            GridPartitioner(4, 4): [
+                Rect(-2.0, -2.0, -1.0, -1.0),  # wholly below the domain
+                Rect(1.5, 1.5, 3.0, 3.0),  # wholly above it
+                Rect(-0.5, 0.3, 0.2, 1.7),  # straddles two edges
+                Rect(0.25, 0.5, 0.75, 0.75),  # exactly on tile borders
+                Rect(0.0, 0.0, 1.0, 1.0),  # the domain itself
+                Rect(0.5, 0.5, 0.5, 0.5),  # a point on a tile corner
+                Rect(0.3, 0.0, 0.3, 1.0),  # a vertical line
+                Rect(0.0, 0.6, 1.0, 0.6),  # a horizontal line
+            ],
+            GridPartitioner(3, 5, domain=Rect(-1.0, 2.0, 0.0, 7.0)): [
+                Rect(-1.0 + t, 3.0, -1.0 + 2 * t, 4.0),  # inexact borders
+                Rect(-5.0, 1.0, 5.0, 9.0),
+                Rect(-0.5, 7.0, -0.5, 7.0),  # point on the top edge
+                Rect(0.0, 2.0, 0.0, 2.0),  # domain corners
+            ],
+        }
+        # Point windows on every tile border of an inexact grid and on
+        # the borders' float neighbours.
+        g = GridPartitioner(7, 3, domain=Rect(0.1, -0.3, 0.8, 0.4))
+        borders_x = g.domain.xl + np.arange(g.nx + 1) * g.tile_w
+        borders_y = g.domain.yl + np.arange(g.ny + 1) * g.tile_h
+        xs = np.concatenate([np.nextafter(borders_x, -1.0), borders_x,
+                             np.nextafter(borders_x, 2.0)])
+        ys = np.concatenate([np.nextafter(borders_y, -1.0), borders_y,
+                             np.nextafter(borders_y, 2.0)])
+        cases[g] = [
+            Rect(float(x), float(y), float(x), float(y)) for x in xs for y in ys
+        ]
+        for g, windows in cases.items():
+            for w in windows:
+                expected = (
+                    g.tile_ix(w.xl),
+                    g.tile_ix(w.xu),
+                    g.tile_iy(w.yl),
+                    g.tile_iy(w.yu),
+                )
+                assert g.tile_range_for_window(w) == expected, repr(w)
 
     def test_tile_range_single_tile(self):
         g = GridPartitioner(4, 4)

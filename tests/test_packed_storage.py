@@ -12,8 +12,9 @@ tests check it against two independent references:
   kernels against the per-tile path on the same index
   (``window_query`` vs :func:`~repro.core.batch.evaluate_tiles_based`,
   ``disk_query`` vs :func:`~repro.core.batch.evaluate_disk_tiles_based`),
-  and of the 1-layer fused kernels against its per-tile active-border
-  scan.
+  and of the 1-layer window kernel against a per-tile walk of
+  ``_scan_tile_window`` with the same dedup technique — on clean
+  indexes and under pending overlay rows and tombstones.
 
 The serving layer's copy-on-write snapshots are covered too.
 """
@@ -36,8 +37,8 @@ from repro.core.batch import evaluate_disk_tiles_based, evaluate_tiles_based
 from repro.core.persistence import load_index, save_index
 from repro.datasets import DiskQuery, RectDataset, generate_uniform_rects
 from repro.geometry import Rect
-from repro.grid import OneLayerGrid
-from repro.grid.storage import PackedStore, TileTable, ranges_to_rows
+from repro.grid import ActiveBorder, OneLayerGrid
+from repro.grid.storage import PackedStore, TileTable, ranges_to_rows, slab_runs
 from repro.obs.explain import ExplainStats, explain_disk, explain_window
 from repro.server.snapshot import SnapshotStore
 from repro.stats import QueryStats
@@ -144,6 +145,45 @@ def assert_window_stats_match(index: TwoLayerGrid, w: Rect, label="") -> None:
     assert ids_set(got_f) == ids_set(got_t), label
     assert fused.as_dict() == per_tile.as_dict(), label
     assert fused.class_scans == per_tile.class_scans, label
+
+
+def one_layer_tile_walk(
+    index: OneLayerGrid, w: Rect, stats: QueryStats
+) -> np.ndarray:
+    """Per-tile reference for a 1-layer window query.
+
+    ``_scan_tile_window`` over every tile of the range in row-major
+    order (the active-border sweep's walk), then hash's terminal
+    duplicate elimination.
+    """
+    ix0, ix1, iy0, iy1 = index.grid.tile_range_for_window(w)
+    border = ActiveBorder() if index.dedup == "active_border" else None
+    pieces: list[np.ndarray] = []
+    for iy in range(iy0, iy1 + 1):
+        if border is not None:
+            border.start_row(iy)
+        for ix in range(ix0, ix1 + 1):
+            index._scan_tile_window(
+                index.grid.tile_id(ix, iy), w, ix0, ix1, iy0, iy1, pieces,
+                stats, border,
+            )
+    out = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+    if index.dedup == "hash":
+        deduped = np.unique(out)
+        stats.dedup_checks += out.shape[0]
+        stats.duplicates_generated += out.shape[0] - deduped.shape[0]
+        out = deduped
+    return out
+
+
+def assert_one_layer_stats_match(index: OneLayerGrid, w: Rect, label="") -> None:
+    """``window_query`` and :func:`one_layer_tile_walk` agree."""
+    kernel, per_tile = ExplainStats(), ExplainStats()
+    got_k = index.window_query(w, kernel)
+    got_t = one_layer_tile_walk(index, w, per_tile)
+    assert ids_set(got_k) == ids_set(got_t), label
+    assert kernel.as_dict() == per_tile.as_dict(), label
+    assert kernel.class_scans == per_tile.class_scans, label
 
 
 def assert_disk_stats_match(index: TwoLayerGrid, q: DiskQuery, label="") -> None:
@@ -272,6 +312,7 @@ class TestOneLayerParity:
         # region kernel.  The scan itself is dedup-independent.
         reference = by_dedup["active_border"]
         scan_counters = ("partitions_visited", "rects_scanned", "comparisons")
+        dedup_counters = ("dedup_checks", "duplicates_generated")
         for w in windows(40, seed=37):
             expected = brute_window(data, w)
             assert_ids(index.window_query(w), expected, dedup)
@@ -280,6 +321,12 @@ class TestOneLayerParity:
             reference.window_query(w, ref)
             for name in scan_counters:
                 assert getattr(got, name) == getattr(ref, name), (dedup, name)
+            # The dedup counters depend on the technique: check them
+            # against a per-tile walk with the same one.
+            walked = QueryStats()
+            assert_ids(one_layer_tile_walk(index, w, walked), expected, dedup)
+            for name in scan_counters + dedup_counters:
+                assert getattr(got, name) == getattr(walked, name), (dedup, name)
 
     def test_disk_query(self, data, by_dedup):
         index = by_dedup["refpoint"]
@@ -326,8 +373,11 @@ class TestMaintenanceParity:
                 assert_ids(index.window_query(w, QueryStats()), expected, label)
                 if cls is TwoLayerGrid:
                     assert_window_stats_match(index, w, label)
+                else:
+                    assert_one_layer_stats_match(index, w, label)
             for q in disk_probe:
                 assert_ids(index.disk_query(q), brute_disk(current, q, live), label)
+                # The 1-layer disk query has one (per-tile) path only.
                 if cls is TwoLayerGrid:
                     assert_disk_stats_match(index, q, label)
             if round_no == 3:
@@ -337,6 +387,19 @@ class TestMaintenanceParity:
                 assert index._store.n_dead == 0
         # Deleting an id that is not indexed reports False.
         assert not index.delete(Rect(0.4, 0.4, 0.41, 0.41), 10**6)
+
+    @pytest.mark.parametrize("cls", [TwoLayerGrid, OneLayerGrid])
+    def test_result_owns_its_memory(self, cls):
+        # The only result rows come from an overlay tile the window
+        # covers, where no comparison is needed: the caller must still
+        # get a fresh array, not a view of the stored ids.
+        base = RectDataset.from_rects([Rect(0.9, 0.9, 0.95, 0.95)])
+        index = cls.build(base, partitions_per_dim=4)
+        index.insert(Rect(0.3, 0.3, 0.4, 0.4), 1)
+        w = Rect(0.2, 0.2, 0.7, 0.7)
+        out = index.window_query(w)
+        out[:] = -1
+        assert index.window_query(w).tolist() == [1]
 
 
 class TestExplainParity:
@@ -505,6 +568,27 @@ class TestPackedStoreUnit:
         got = ranges_to_rows(starts, ends)
         assert got.tolist() == [0, 1, 5, 6, 7, 9]
         assert ranges_to_rows(starts[:0], ends[:0]).shape == (0,)
+
+    def test_slab_runs(self):
+        # A 4x3 grid of tiles with 0..3 rows each; block = columns 1..3
+        # of grid rows 0..2, skipping tiles 2 (mid-row) and 7 (row end).
+        rng = np.random.default_rng(61)
+        sizes = rng.integers(0, 4, size=12)
+        bounds = [0] + np.cumsum(sizes).tolist()
+        skip = [2, 7]
+        block = [t for iy in range(3) for t in range(iy * 4 + 1, iy * 4 + 4)]
+        for lo, hi in [(0, bounds[-1]), (bounds[3], bounds[9])]:
+            runs = slab_runs(bounds, 1, 3, 3, 4, skip, lo, hi)
+            got = [r for s0, s1 in runs for r in range(s0, s1)]
+            expected = [
+                r
+                for t in block
+                if t not in skip
+                for r in range(bounds[t], bounds[t + 1])
+                if lo <= r < hi
+            ]
+            assert got == expected
+            assert all(s0 < s1 for s0, s1 in runs)
 
     def test_from_rows_presorted_is_zero_copy(self):
         keys = np.array([0, 0, 2, 5, 5, 5], dtype=np.int64)

@@ -130,8 +130,8 @@ class TestReadParity:
                     assert s.window_query(win).shape[0] == 0
 
     def test_band_order_concat_preserves_global_order(self, setup):
-        # bands ascend in tile (= CSR row) order, so band-ordered concat
-        # on the stats-free fast path reproduces the global row order
+        # bands ascend in tile (= CSR row) order, so on a clean index
+        # band-ordered concat reproduces the global row order
         data, index, bands, shards = setup
         rng = np.random.default_rng(6)
         for _ in range(40):
