@@ -10,6 +10,11 @@ The same windows are also timed on a *dirty* index — 100 deletes and
 100 inserts, not compacted — as the record-only ``dirty_latency_us``
 series: tombstones and overlay rows ride on the same kernel, so this
 should stay close to the clean latency.
+
+Two more record-only series time the other query shapes over the same
+sweep on the clean index: ``within_latency_us`` (the same windows,
+containment predicate) and ``disk_latency_us`` (disks whose area equals
+the window's, through the §IV-E range kernel).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from repro.bench import (
     print_table,
     throughput,
     tiger_dataset,
+    disk_workload,
     window_workload,
 )
 from repro.core import TwoLayerGrid
@@ -41,6 +47,8 @@ _DIRTY_UPDATES = 100
 
 _LATENCY: dict[str, float] = {}  # area label -> µs
 _DIRTY_LATENCY: dict[str, float] = {}  # area label -> µs, dirty index
+_WITHIN_LATENCY: dict[str, float] = {}  # area label -> µs, "within"
+_DISK_LATENCY: dict[str, float] = {}  # area label -> µs, equal-area disks
 _TILES: dict[str, float] = {}  # area label -> mean tiles touched
 
 
@@ -88,6 +96,10 @@ def test_kernels_window_latency(benchmark, area):
     dirty = _dirty_index()
     timed = throughput(dirty.window_query, queries, repeats=3)
     _DIRTY_LATENCY[_label(area)] = 1e6 / timed.qps
+    timed = throughput(index.window_query_within, queries, repeats=3)
+    _WITHIN_LATENCY[_label(area)] = 1e6 / timed.qps
+    timed = throughput(index.disk_query, disk_workload(_DATASET, area), repeats=3)
+    _DISK_LATENCY[_label(area)] = 1e6 / timed.qps
 
 
 def test_kernels_report(benchmark):
@@ -99,6 +111,8 @@ def test_kernels_report(benchmark):
             _TILES[_label(a)],
             _LATENCY[_label(a)],
             _DIRTY_LATENCY[_label(a)],
+            _WITHIN_LATENCY[_label(a)],
+            _DISK_LATENCY[_label(a)],
         ]
         for a in _AREAS
     ]
@@ -106,14 +120,15 @@ def test_kernels_report(benchmark):
         lambda: print_table(
             "Window kernel — per-query latency [µs] vs tiles touched "
             f"(2-layer, {_DATASET}, window area sweep)",
-            ["area", "tiles", "packed µs", "dirty µs"],
+            ["area", "tiles", "packed µs", "dirty µs", "within µs", "disk µs"],
             rows,
         )
     )
     # The who-wins ordering inside the series (bigger windows are
     # slower) is scale-stable, so the regression gate never trips on
-    # smoke-scale CI runs.  dirty_latency_us has no committed baseline,
-    # so it is recorded but not gated.
+    # smoke-scale CI runs.  dirty_latency_us, within_latency_us and
+    # disk_latency_us have no committed baseline, so they are recorded
+    # but not gated.
     emit_bench_record(
         "kernels",
         {
@@ -124,6 +139,8 @@ def test_kernels_report(benchmark):
         {
             "packed_latency_us": dict(_LATENCY),
             "dirty_latency_us": dict(_DIRTY_LATENCY),
+            "within_latency_us": dict(_WITHIN_LATENCY),
+            "disk_latency_us": dict(_DISK_LATENCY),
             "tiles_touched": dict(_TILES),
         },
     )

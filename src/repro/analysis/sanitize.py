@@ -11,10 +11,11 @@ their invariant boundaries:
   checks the delta overlay is disjoint from live base rows
   (:func:`check_delta_disjoint`), and freezes the base columns so a
   stray in-place write raises immediately.
-* **query** — :func:`on_window_query` cross-checks a *sample* of window
-  results against a naive per-tile scan (every
-  ``REPRO_SANITIZE_SAMPLE``-th query, default 16), catching dedup or
-  kernel regressions the moment they produce a wrong id set.
+* **query** — :func:`on_query` cross-checks a *sample* of window,
+  "within", disk and convex-range results (every
+  ``REPRO_SANITIZE_SAMPLE``-th query, default 16) against a brute-force
+  scan of the live rows, catching dedup or kernel regressions the
+  moment they produce a wrong id set.
 
 Every violation raises :class:`SanitizerError` carrying the failed check
 name and a structured detail mapping — grep-able in logs, assertable in
@@ -41,8 +42,12 @@ __all__ = [
     "check_delta_disjoint",
     "check_snapshot",
     "freeze_array",
+    "live_rows",
+    "naive_ids",
     "naive_window_ids",
+    "on_query",
     "on_window_query",
+    "verify_result",
     "verify_window_result",
 ]
 
@@ -210,56 +215,62 @@ def check_snapshot(index: Any, where: str) -> None:
 # -- query cross-checking --------------------------------------------------
 
 
-def naive_window_ids(grid: Any, window: Any) -> np.ndarray:
-    """Reference result: scan every overlapping tile, dedup via a set.
+def live_rows(grid: Any) -> tuple[np.ndarray, ...]:
+    """``(xl, yl, xu, yu, ids)`` of every live row of a grid index: the
+    packed base past its tombstones plus every delta-overlay table (an
+    object appears once per replica)."""
+    parts = []
+    store = getattr(grid, "_store", None)
+    if store is not None:
+        parts.append(store.flat_live_rows()[1:])
+    for entry in getattr(grid, "_tiles", {}).values():
+        tables = entry if isinstance(entry, (list, tuple)) else [entry]
+        parts.extend(t.columns() for t in tables if t is not None and len(t))
+    if not parts:
+        empty = np.empty(0, dtype=np.float64)
+        return empty, empty, empty, empty, np.empty(0, dtype=np.int64)
+    return tuple(np.concatenate([p[c] for p in parts]) for c in range(5))
 
-    Uses only the public tile accessors (``tile_class_table`` /
-    ``tile_table``), so it exercises none of the fused kernels it is
-    checking.
+
+def naive_ids(grid: Any, kind: str, query: Any) -> np.ndarray:
+    """Reference result: a brute-force scan of the live rows, deduplicated.
+
+    ``kind`` ``"window"`` tests intersection with the window ``query``,
+    ``"within"`` containment in it, and any other kind the range's own
+    ``intersects_rects`` (disks, :mod:`repro.core.ranges` shapes) — no
+    tile, plan, slab or class of the kernels under check is read.
     """
-    g = grid.grid
-    ix0, ix1 = g.tile_ix(window.xl), g.tile_ix(window.xu)
-    iy0, iy1 = g.tile_iy(window.yl), g.tile_iy(window.yu)
-    hits: set[int] = set()
-    two_layer = hasattr(grid, "tile_class_table")
-    for iy in range(iy0, iy1 + 1):
-        for ix in range(ix0, ix1 + 1):
-            tables = (
-                [grid.tile_class_table(ix, iy, code) for code in range(4)]
-                if two_layer
-                else [grid.tile_table(ix, iy)]
-            )
-            for table in tables:
-                if table is None:
-                    continue
-                xl, yl, xu, yu, ids = table.columns()
-                mask = (
-                    (xl <= window.xu)
-                    & (xu >= window.xl)
-                    & (yl <= window.yu)
-                    & (yu >= window.yl)
-                )
-                hits.update(int(i) for i in ids[mask])
-    return np.array(sorted(hits), dtype=np.int64)
+    xl, yl, xu, yu, ids = live_rows(grid)
+    if kind == "window":
+        mask = (xl <= query.xu) & (xu >= query.xl) & (yl <= query.yu) & (yu >= query.yl)
+    elif kind == "within":
+        mask = (xl >= query.xl) & (xu <= query.xu) & (yl >= query.yl) & (yu <= query.yu)
+    else:
+        mask = query.intersects_rects(xl, yl, xu, yu)
+    return np.unique(ids[mask])
 
 
-def verify_window_result(grid: Any, window: Any, ids: np.ndarray) -> None:
-    """Raise unless ``ids`` matches the naive per-tile reference scan."""
+def naive_window_ids(grid: Any, window: Any) -> np.ndarray:
+    """:func:`naive_ids` of a window query."""
+    return naive_ids(grid, "window", window)
+
+
+def verify_result(kind: str, expected: np.ndarray, ids: np.ndarray) -> None:
+    """Raise unless ``ids`` is ``expected`` (sorted), each id once."""
     got = np.sort(np.asarray(ids, dtype=np.int64))
     if np.unique(got).shape[0] != got.shape[0]:
         dupes, counts = np.unique(got, return_counts=True)
         _fail(
-            "window_dedup",
-            "window_query",
+            f"{kind}_dedup",
+            f"{kind}_query",
             duplicate_ids=dupes[counts > 1][:8].tolist(),
         )
-    expected = naive_window_ids(grid, window)
     if not np.array_equal(got, expected):
         missing = np.setdiff1d(expected, got)
         extra = np.setdiff1d(got, expected)
         _fail(
-            "window_result_parity",
-            "window_query",
+            f"{kind}_result_parity",
+            f"{kind}_query",
             missing=missing[:8].tolist(),
             extra=extra[:8].tolist(),
             expected=int(expected.shape[0]),
@@ -267,16 +278,29 @@ def verify_window_result(grid: Any, window: Any, ids: np.ndarray) -> None:
         )
 
 
+def verify_window_result(grid: Any, window: Any, ids: np.ndarray) -> None:
+    """Raise unless ``ids`` matches the brute-force reference scan."""
+    verify_result("window", naive_window_ids(grid, window), ids)
+
+
 _query_counter = 0
 
 
-def on_window_query(grid: Any, window: Any, ids: np.ndarray) -> None:
-    """Sampled post-query hook: every Nth call runs the full cross-check."""
+def on_query(grid: Any, kind: str, query: Any, ids: np.ndarray) -> None:
+    """Sampled post-query hook: every Nth call runs the full cross-check.
+
+    ``kind`` is ``"window"``, ``"within"`` or ``"range"``.
+    """
     global _query_counter
     _query_counter += 1
     if _query_counter % _sample_every():
         return
     store = getattr(grid, "_store", None)
     if store is not None:
-        check_packed_store(store, "window_query")
-    verify_window_result(grid, window, ids)
+        check_packed_store(store, f"{kind}_query")
+    verify_result(kind, naive_ids(grid, kind, query), ids)
+
+
+def on_window_query(grid: Any, window: Any, ids: np.ndarray) -> None:
+    """:func:`on_query` for a window result."""
+    on_query(grid, "window", window, ids)

@@ -100,30 +100,26 @@ def evaluate_disk_tiles_based(
 ) -> list[np.ndarray]:
     """Evaluate a disk-query batch tile-by-tile over a two-layer grid.
 
-    Step 1 computes each query's §IV-E plan (per-row spans, scanned
-    classes and coverage per tile); step 2 sweeps the tiles in id order,
-    draining every query's job for that tile while its secondary
-    partitions are hot.
+    Step 1 computes each query's §IV-E plan (per-row spans and covered
+    runs, :meth:`TwoLayerGrid._range_plan`); step 2 sweeps the tiles in
+    id order, draining every query's subtask for that tile with
+    :meth:`TwoLayerGrid._scan_tile_range` while its secondary partitions
+    are hot.  Any convex range of :mod:`repro.core.ranges` works too.
     """
-    plans = [index._disk_plan(q) for q in queries]
-    subtasks: dict[int, list[tuple[int, tuple[int, ...], bool, int]]] = {}
-    for qi, (_row_span, jobs) in enumerate(plans):
-        for tile_id, codes, covered, iy in jobs:
+    plans = [index._range_plan(q) for q in queries]
+    subtasks: dict[int, list[int]] = {}
+    for qi, plan in enumerate(plans):
+        if plan is None:
+            continue
+        for tile_id in plan.tile_ids():
             if tile_id in subtasks or index._tile_has_rows(tile_id):
-                subtasks.setdefault(tile_id, []).append((qi, codes, covered, iy))
+                subtasks.setdefault(tile_id, []).append(qi)
 
     pieces: list[list[np.ndarray]] = [[] for _ in queries]
     for tile_id in sorted(subtasks):
-        for qi, codes, covered, iy in subtasks[tile_id]:
-            index._scan_tile_disk(
-                tile_id,
-                queries[qi],
-                codes,
-                covered,
-                iy,
-                plans[qi][0],
-                pieces[qi],
-                stats,
+        for qi in subtasks[tile_id]:
+            index._scan_tile_range(
+                tile_id, queries[qi], plans[qi], pieces[qi], stats
             )
     return [
         np.concatenate(parts) if parts else _EMPTY_IDS for parts in pieces

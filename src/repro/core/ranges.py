@@ -1,26 +1,25 @@
-"""Generic non-rectangular range queries on the two-layer grid (§IV-E).
+"""Convex query ranges for the two-layer grid's §IV-E engine.
 
 The paper generalises disk queries to *any* query range: find the tiles
 intersecting the range, skip the classes that would produce duplicates
 (based on whether the previous tile per dimension also intersects the
 range), report fully-covered tiles without verification and verify
-rectangles in partially-covered tiles.
+rectangles in partially-covered tiles.  :meth:`TwoLayerGrid.range_query
+<repro.core.two_layer.TwoLayerGrid.range_query>` is that engine, one
+plan and one CSR slab scan for every range shape, disks included.
 
-This module implements that recipe for any **convex** range — convexity
-guarantees the per-row tile intervals are contiguous, which both the
-class-skipping rule and the canonical-tile test for classes B/D rely on
-(the same argument as :meth:`TwoLayerGrid.disk_query`).  Two concrete
-ranges are provided:
+This module supplies the shapes.  Convexity guarantees the per-row tile
+intervals are contiguous, which both the class-skipping rule and the
+canonical-tile test for classes B/D rely on.  Every range answers two
+array-in questions — :meth:`~ConvexRange.classify` (tiles) and
+:meth:`~ConvexRange.intersects_rects` (rows) — over broadcastable
+coordinate arrays:
 
+* :class:`~repro.datasets.queries.DiskQuery` — a disk;
 * :class:`ConvexPolygonRange` — a convex polygon query region;
 * :class:`HalfPlaneStripRange` — the intersection of half-planes
   (e.g. "everything north-west of this line within the map"), a common
-  analytic region shape.
-
-Disk queries keep their dedicated fast path in
-:meth:`TwoLayerGrid.disk_query`; this engine trades some speed for full
-generality and exactness (per-rectangle verification calls the range's
-own predicate).
+  analytic region shape, cut into a convex polygon once.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import numpy as np
 from repro.errors import InvalidQueryError
 from repro.geometry.mbr import Rect
 from repro.geometry.polygon import Polygon
-from repro.grid.base import CLASS_A, CLASS_B, CLASS_C, CLASS_D
 from repro.core.two_layer import TwoLayerGrid
 from repro.stats import QueryStats
 
@@ -43,30 +41,94 @@ __all__ = [
     "convex_range_query",
 ]
 
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-
 
 class ConvexRange(Protocol):
-    """What the generic evaluator needs from a convex query range."""
+    """What the §IV-E engine needs from a convex query range.
+
+    Coordinate arguments are arrays that broadcast against each other
+    (the engine passes tile columns as a row vector and tile rows as a
+    column vector, so per-axis terms are computed once per column/row).
+    """
+
+    #: comparisons one verified rectangle costs (QueryStats accounting).
+    comparisons_per_rect: int
 
     def bounding_box(self) -> Rect:
         """A rectangle containing the whole range."""
 
-    def classify_rect(self, rect: Rect) -> int:
-        """-1 if ``rect`` is disjoint from the range, 1 if fully covered
-        by it, 0 if partially overlapping (used per tile)."""
+    def classify(
+        self, xl: np.ndarray, yl: np.ndarray, xu: np.ndarray, yu: np.ndarray
+    ) -> np.ndarray:
+        """Per rectangle: -1 if disjoint from the range, 1 if fully
+        covered by it, 0 if partially overlapping (used per tile)."""
 
     def intersects_rects(
-        self,
-        xl: np.ndarray,
-        yl: np.ndarray,
-        xu: np.ndarray,
-        yu: np.ndarray,
+        self, xl: np.ndarray, yl: np.ndarray, xu: np.ndarray, yu: np.ndarray
     ) -> np.ndarray:
         """Boolean mask: which of the given MBRs intersect the range."""
 
 
-class ConvexPolygonRange:
+class _ConvexRegion:
+    """A convex region given by its vertex ring, tested by separating axes.
+
+    Two convex sets are disjoint iff a line through an edge of one of
+    them separates them, so a rectangle misses the region iff the
+    bounding boxes miss or the rectangle lies wholly outside one region
+    edge.  A degenerate ring (a segment or a point) still gets the exact
+    test and covers nothing; an empty ring meets nothing.
+    """
+
+    def __init__(self, ring: "Sequence[tuple[float, float]]"):
+        pts = np.asarray(ring, dtype=np.float64).reshape(-1, 2)
+        xs, ys = pts[:, 0], pts[:, 1]
+        # Counter-clockwise, so each edge's outward normal is (dy, -dx).
+        area2 = float(np.sum(xs * np.roll(ys, -1) - np.roll(xs, -1) * ys))
+        if area2 < 0:
+            xs, ys = xs[::-1], ys[::-1]
+        self.has_area = area2 != 0
+        nx = np.roll(ys, -1) - ys
+        ny = xs - np.roll(xs, -1)
+        edge = (nx != 0) | (ny != 0)
+        #: ``a * x + b * y <= c`` inside every edge.
+        self.edges = [
+            (float(a), float(b), float(a * x + b * y))
+            for a, b, x, y in zip(nx[edge], ny[edge], xs[edge], ys[edge])
+        ]
+        self.box = (0.0, 0.0, 0.0, 0.0)
+        if pts.shape[0]:
+            self.box = tuple(float(v) for v in (xs.min(), ys.min(), xs.max(), ys.max()))
+        else:
+            self.edges = [(0.0, 0.0, -1.0)]  # unsatisfiable
+        self.comparisons_per_rect = 4 + len(self.edges)
+
+    def bounding_box(self) -> Rect:
+        return Rect(*self.box)
+
+    def classify(
+        self, xl: np.ndarray, yl: np.ndarray, xu: np.ndarray, yu: np.ndarray
+    ) -> np.ndarray:
+        bxl, byl, bxu, byu = self.box
+        hit = (xl <= bxu) & (xu >= bxl) & (yl <= byu) & (yu >= byl)
+        cover = np.full(hit.shape, self.has_area)
+        for a, b, c in self.edges:
+            # The rectangle's lowest and highest projection on the normal.
+            low = (a * xl if a >= 0 else a * xu) + (b * yl if b >= 0 else b * yu)
+            high = (a * xu if a >= 0 else a * xl) + (b * yu if b >= 0 else b * yl)
+            hit &= low <= c
+            cover &= high <= c
+        return np.add(hit, cover, dtype=np.int8) - 1
+
+    def intersects_rects(
+        self, xl: np.ndarray, yl: np.ndarray, xu: np.ndarray, yu: np.ndarray
+    ) -> np.ndarray:
+        bxl, byl, bxu, byu = self.box
+        hit = (xl <= bxu) & (xu >= bxl) & (yl <= byu) & (yu >= byl)
+        for a, b, c in self.edges:
+            hit &= (a * xl if a >= 0 else a * xu) + (b * yl if b >= 0 else b * yu) <= c
+        return hit
+
+
+class ConvexPolygonRange(_ConvexRegion):
     """A convex-polygon query range.
 
     Vertices may be given in either orientation; convexity is validated
@@ -75,62 +137,26 @@ class ConvexPolygonRange:
 
     def __init__(self, vertices: "Sequence[tuple[float, float]]"):
         self.polygon = Polygon(vertices)
-        if not self._is_convex():
+        pts = np.asarray(self.polygon.vertices)
+        edge = np.roll(pts, -1, axis=0) - pts
+        after = np.roll(edge, -1, axis=0)
+        turn = edge[:, 0] * after[:, 1] - edge[:, 1] * after[:, 0]
+        turn = turn[np.abs(turn) >= 1e-15]
+        if not ((turn > 0).all() or (turn < 0).all()):
             raise InvalidQueryError(
                 "ConvexPolygonRange requires a convex polygon; use multiple "
                 "convex pieces for concave regions"
             )
-
-    def _is_convex(self) -> bool:
-        pts = self.polygon.vertices
-        n = len(pts)
-        sign = 0
-        for i in range(n):
-            ax, ay = pts[i]
-            bx, by = pts[(i + 1) % n]
-            cx, cy = pts[(i + 2) % n]
-            cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            if abs(cross) < 1e-15:
-                continue
-            s = 1 if cross > 0 else -1
-            if sign == 0:
-                sign = s
-            elif s != sign:
-                return False
-        return True
-
-    def bounding_box(self) -> Rect:
-        return self.polygon.mbr()
-
-    def classify_rect(self, rect: Rect) -> int:
-        if not self.polygon.intersects_rect(rect):
-            return -1
-        # Convexity: all four corners inside <=> rect fully covered.
-        if all(self.polygon.contains_point(x, y) for x, y in rect.corners()):
-            return 1
-        return 0
-
-    def intersects_rects(
-        self,
-        xl: np.ndarray,
-        yl: np.ndarray,
-        xu: np.ndarray,
-        yu: np.ndarray,
-    ) -> np.ndarray:
-        out = np.empty(xl.shape[0], dtype=bool)
-        for i in range(xl.shape[0]):
-            out[i] = self.polygon.intersects_rect(
-                Rect(float(xl[i]), float(yl[i]), float(xu[i]), float(yu[i]))
-            )
-        return out
+        super().__init__(pts)
 
 
-class HalfPlaneStripRange:
+class HalfPlaneStripRange(_ConvexRegion):
     """Intersection of half-planes ``a*x + b*y <= c``, clipped to a box.
 
     A flexible convex region for analytic queries ("south of this road,
     west of this meridian").  The clip box bounds the otherwise unbounded
-    intersection so a bounding box exists.
+    intersection; the box is cut by each half-plane once, at
+    construction, into the convex polygon every test runs against.
     """
 
     def __init__(
@@ -142,65 +168,28 @@ class HalfPlaneStripRange:
         if not self.half_planes:
             raise InvalidQueryError("need at least one half-plane")
         self.clip = clip if clip is not None else Rect(0.0, 0.0, 1.0, 1.0)
-
-    def bounding_box(self) -> Rect:
-        return self.clip
-
-    def _corners_inside(self, rect: Rect) -> int:
-        count = 0
-        for x, y in rect.corners():
-            if all(a * x + b * y <= c + 1e-12 for a, b, c in self.half_planes):
-                count += 1
-        return count
-
-    def classify_rect(self, rect: Rect) -> int:
-        clipped = rect.intersection(self.clip)
-        if clipped is None:
-            return -1
-        inside = self._corners_inside(clipped)
-        if inside == 4:
-            return 1
-        if inside > 0:
-            return 0
-        # No corner inside: for an intersection of half-planes the region
-        # is convex, but it may still poke through an edge of the
-        # rectangle.  Conservative: test the rectangle against each
-        # half-plane; if the rect is entirely outside any half-plane it
-        # is disjoint, otherwise treat as partial (verification filters).
+        ring = list(self.clip.corners())
         for a, b, c in self.half_planes:
-            best = min(a * x + b * y for x, y in clipped.corners())
-            if best > c + 1e-12:
-                return -1
-        return 0
+            ring = _cut(ring, a, b, c)
+        super().__init__(ring)
 
-    def intersects_rects(
-        self,
-        xl: np.ndarray,
-        yl: np.ndarray,
-        xu: np.ndarray,
-        yu: np.ndarray,
-    ) -> np.ndarray:
-        # A rect intersects the convex region iff, clipped to the box, it
-        # is not fully outside any half-plane AND the region's feasible
-        # point search succeeds.  For the shapes used here (axis-aligned
-        # clip + half-planes) the per-half-plane min test is exact when
-        # the region is full-dimensional; a final corner check firms up
-        # boundary cases.
-        n = xl.shape[0]
-        mask = np.ones(n, dtype=bool)
-        cxl = np.maximum(xl, self.clip.xl)
-        cyl = np.maximum(yl, self.clip.yl)
-        cxu = np.minimum(xu, self.clip.xu)
-        cyu = np.minimum(yu, self.clip.yu)
-        mask &= (cxl <= cxu) & (cyl <= cyu)
-        for a, b, c in self.half_planes:
-            # Minimum of a*x+b*y over the clipped rect.
-            min_val = (
-                np.where(a >= 0, a * cxl, a * cxu)
-                + np.where(b >= 0, b * cyl, b * cyu)
-            )
-            mask &= min_val <= c + 1e-12
-        return mask
+
+def _cut(
+    ring: "list[tuple[float, float]]", a: float, b: float, c: float
+) -> "list[tuple[float, float]]":
+    """The part of a convex ring with ``a*x + b*y <= c`` (Sutherland-Hodgman)."""
+    out: list[tuple[float, float]] = []
+    for i, (px, py) in enumerate(ring):
+        qx, qy = ring[(i + 1) % len(ring)]
+        fp = a * px + b * py - c
+        fq = a * qx + b * qy - c
+        if fp <= 0:
+            out.append((px, py))
+        if (fp < 0 < fq) or (fq < 0 < fp):
+            t = fp / (fp - fq)
+            out.append((px + t * (qx - px), py + t * (qy - py)))
+    # Drop repeated vertices (a cut through a vertex emits it twice).
+    return [p for i, p in enumerate(out) if p != out[i - 1]] or out[:1]
 
 
 def convex_range_query(
@@ -210,68 +199,6 @@ def convex_range_query(
 ) -> np.ndarray:
     """Ids of all indexed MBRs intersecting a convex range — no duplicates.
 
-    The §IV-E recipe over any convex range: per-row contiguous tile
-    intervals, class skipping via previous-tile membership, covered-tile
-    fast path, and the canonical-tile test for classes B/D.
+    The §IV-E engine of :meth:`TwoLayerGrid.range_query`.
     """
-    if len(index) == 0:
-        return _EMPTY_IDS
-    grid = index.grid
-    bbox = query.bounding_box()
-    ix0, ix1, iy0, iy1 = grid.tile_range_for_window(bbox)
-
-    # Per-row contiguous span of intersecting tiles + coverage flags.
-    row_span: dict[int, tuple[int, int]] = {}
-    coverage: dict[tuple[int, int], int] = {}
-    for iy in range(iy0, iy1 + 1):
-        lo = None
-        hi = None
-        for ix in range(ix0, ix1 + 1):
-            kind = query.classify_rect(grid.tile_rect(ix, iy))
-            if kind >= 0:
-                coverage[(ix, iy)] = kind
-                if lo is None:
-                    lo = ix
-                hi = ix
-        if lo is not None:
-            row_span[iy] = (lo, hi)  # type: ignore[assignment]
-
-    pieces: list[np.ndarray] = []
-    for iy, (lx, rx) in row_span.items():
-        base = iy * grid.nx
-        prev_row = row_span.get(iy - 1)
-        for ix in range(lx, rx + 1):
-            tile_id = base + ix
-            if not index._tile_has_rows(tile_id):
-                continue
-            if stats is not None:
-                stats.partitions_visited += 1
-            prev_x_in = ix > lx
-            prev_y_in = prev_row is not None and prev_row[0] <= ix <= prev_row[1]
-            codes = [CLASS_A]
-            if not prev_y_in:
-                codes.append(CLASS_B)
-            if not prev_x_in:
-                codes.append(CLASS_C)
-            if not prev_x_in and not prev_y_in:
-                codes.append(CLASS_D)
-            covered = coverage[(ix, iy)] == 1
-            for code in codes:
-                cols = index._partition_columns(tile_id, code)
-                if cols is None:
-                    continue
-                xl, yl, xu, yu, ids = cols
-                if ids.shape[0] == 0:
-                    continue
-                if stats is not None:
-                    stats.rects_scanned += ids.shape[0]
-                if covered:
-                    qual = np.ones(ids.shape[0], dtype=bool)
-                else:
-                    qual = query.intersects_rects(xl, yl, xu, yu)
-                if code in (CLASS_B, CLASS_D):
-                    qual &= index._canonical_keep(xl, yl, xu, iy, row_span, stats)
-                pieces.append(ids[qual])
-    if not pieces:
-        return _EMPTY_IDS
-    return np.concatenate(pieces)
+    return index.range_query(query, stats)

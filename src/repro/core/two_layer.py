@@ -7,10 +7,10 @@ duplicate results (Lemmas 1-2) with only the comparisons that are not
 already guaranteed (Lemmas 3-4, Section IV-B) — duplicates are *avoided*,
 never generated, so no deduplication step exists at all (Algorithm 1).
 
-Disk queries (Section IV-E) skip classes based on whether the previous
-tile per dimension also intersects the disk, report fully-covered tiles
-without distance tests, and resolve the residual boundary-arc duplicates
-of classes B/D with a constant-time canonical-tile test.
+Disk queries — and any convex range (Section IV-E) — skip classes based
+on whether the previous tile per dimension also intersects the range,
+report fully-covered tiles without tests, and resolve the residual
+boundary duplicates of classes B/D with a canonical-tile test.
 
 Storage
 -------
@@ -25,8 +25,10 @@ the intersection test and the Lemma 1-2 class rule together — no
 Python-per-tile loop.  ``QueryStats`` accounting is an optional output
 of the same call, derived from the plan-uniform regions
 (:func:`~repro.core.selection.window_regions`) and the CSR group sizes
-alone.  The within, disk and chunk kernels walk those regions with one
-offsets walk + one vectorised comparison per class.
+alone.  The within kernel is the same slab loop restricted to class A
+with containment bounds, and :meth:`TwoLayerGrid._range_kernel` serves
+disks and every convex range with one plan (:class:`RangePlan`: per-row
+tile spans and covered runs) and the same per-row slabs.
 
 Inserts land in a per-tile *delta overlay* of
 :class:`~repro.grid.storage.TileTable` (O(1), Table VI) that the
@@ -38,7 +40,7 @@ so published snapshots can share the base by reference.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -46,7 +48,7 @@ from repro.analysis import sanitize as _sanitize
 from repro.datasets.dataset import RectDataset
 from repro.datasets.queries import DiskQuery
 from repro.errors import IndexStateError
-from repro.geometry.mbr import Rect, max_dist_point_rect, min_dist_point_rect
+from repro.geometry.mbr import Rect
 from repro.grid.base import (
     CLASS_A,
     CLASS_B,
@@ -60,16 +62,21 @@ from repro.grid.storage import (
     PackedStore,
     TileTable,
     overlay_tiles_in_range,
+    ranges_to_rows,
     slab_runs,
 )
 from repro.core.selection import ClassPlan, TilePlan, plan_tile, window_regions
 from repro.obs.tracing import active as tracing_active, span as trace_span
 from repro.stats import QueryStats
 
-__all__ = ["TwoLayerGrid"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.core.ranges import ConvexRange
+
+__all__ = ["RangePlan", "TwoLayerGrid"]
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
+_all = np.logical_and.reduce
 
 
 # Pure mask helper; every caller owns the QueryStats accounting for the
@@ -283,15 +290,7 @@ class TwoLayerGrid:
 
     def _tile_has_rows(self, tile_id: int) -> bool:
         """Does any secondary partition of the tile hold a live row?"""
-        if tile_id in self._tiles:
-            return True  # overlay tables are pruned when emptied
-        store = self._store
-        if store is None:
-            return False
-        n = int(store.offsets[tile_id * 4 + 4] - store.offsets[tile_id * 4])
-        if n and store.n_dead:
-            n -= int(store.dead_per_group[tile_id * 4 : tile_id * 4 + 4].sum())
-        return n > 0
+        return self._tile_live_rows(tile_id) > 0
 
     def _tile_live_counts(self, tids: np.ndarray) -> np.ndarray:
         """Live rows per tile (all four classes) in the packed base."""
@@ -325,40 +324,34 @@ class TwoLayerGrid:
     def _region_tids(self, ax: int, bx: int, ay: int, by: int) -> np.ndarray:
         """Row-major tile ids of one rectangular region of the grid.
 
-        The single tile-enumeration point of every fused kernel — banded
-        subclasses (:mod:`repro.shard`) override this to drop tiles
-        outside their owned contiguous range, which bands the window,
-        within and chunk kernels at once (the per-class offsets walks
-        simply never see foreign tiles).
+        Only the tiles this index answers for (:meth:`_owned`).
         """
         nx = self.grid.nx
-        return (
+        tids = (
             np.arange(ay, by + 1, dtype=np.int64)[:, None] * nx
             + np.arange(ax, bx + 1, dtype=np.int64)[None, :]
         ).ravel()
+        owned = self._owned(tids)
+        return tids if owned is None else tids[owned]
+
+    def _owned(self, tids: np.ndarray) -> "np.ndarray | None":
+        """Mask of the tiles this index answers for (``None``: all); the
+        band hook of :mod:`repro.shard`."""
+        return None
 
     def _row_slab(self) -> tuple[int, int]:
-        """Base rows ``[row_lo, row_hi)`` the window kernel reads.
+        """Base rows ``[row_lo, row_hi)`` the slab kernels read.
 
         The whole store; banded subclasses narrow it to their band's
         contiguous CSR slab (a tile band is one run of rows).
         """
         return 0, self._store.n_rows
 
-    def _base_regions(
-        self, ix0: int, ix1: int, iy0: int, iy1: int
-    ) -> list[tuple[int, int, int, int, TilePlan]]:
-        """Plan-uniform regions the kernels and accounting walk over the base.
-
-        Empty without a base: an index grown by inserts alone keeps every
-        live row in the delta overlay, which the kernels scan per tile.
-        """
-        if self._store is None:
-            return []
-        return window_regions(ix0, ix1, iy0, iy1)
-
-    def _on_window_result(self, window: Rect, out: np.ndarray) -> None:
-        """Post-query hook: sampled sanitizer cross-check of a result.
+    def _on_query_result(
+        self, kind: str, query: object, out: np.ndarray
+    ) -> None:
+        """Post-query hook: sampled sanitizer cross-check of a ``"window"``,
+        ``"within"`` or ``"range"`` (disk, convex range) result.
 
         Banded subclasses override this with a no-op — a band's partial
         result would falsely fail the *global* naive reference, and a
@@ -367,7 +360,7 @@ class TwoLayerGrid:
         merged result against a full local index instead.
         """
         if _sanitize.enabled():
-            _sanitize.on_window_query(self, window, out)
+            _sanitize.on_query(self, kind, query, out)
 
     def _fork_shell(self) -> "TwoLayerGrid":
         """An empty index shell of the same concrete type over this grid.
@@ -381,10 +374,11 @@ class TwoLayerGrid:
     def _delta_tiles_in_range(
         self, ix0: int, ix1: int, iy0: int, iy1: int
     ) -> list[int]:
-        """Sorted overlay tile ids inside a tile range (a band hook)."""
-        return overlay_tiles_in_range(
-            self._tiles, self.grid.nx, ix0, ix1, iy0, iy1
-        )
+        """Sorted overlay tile ids inside a tile range (owned ones only)."""
+        nx = self.grid.nx
+        tiles = overlay_tiles_in_range(self._tiles, nx, ix0, ix1, iy0, iy1)
+        owned = self._owned(np.asarray(tiles, dtype=np.int64)) if tiles else None
+        return tiles if owned is None else [t for t, o in zip(tiles, owned) if o]
 
     def _class_a_counts(self) -> dict[int, int]:
         """Per-tile live class-A counts (the selectivity histogram)."""
@@ -522,7 +516,7 @@ class TwoLayerGrid:
                     out = self._window_kernel(window, ix0, ix1, iy0, iy1, stats)
                 with trace_span("dedup"):
                     pass  # duplicate-free by construction (Lemmas 1-2)
-        self._on_window_result(window, out)
+        self._on_query_result("window", window, out)
         return out
 
     def _window_kernel(
@@ -548,50 +542,53 @@ class TwoLayerGrid:
         """
         pieces: list[np.ndarray] = []
         delta = self._delta_tiles_in_range(ix0, ix1, iy0, iy1)
-        store = self._store
-        if store is not None:
+        if self._store is not None:
             if stats is not None:
                 self._window_stats(ix0, ix1, iy0, iy1, delta, stats)
-            q = self._fast_q
-            if q is None:
-                q = self._build_fast_q()
-            tb = self._tile_row_bounds
-            if tb is None:
-                # A memmap-loaded index ships its query matrix but derives
-                # the scalar row extents lazily (keeps load from paging
-                # the offsets slab in before the first query).
-                tb = self._tile_row_bounds = store.offsets[::4].tolist()
-            ids = store.ids
-            dead = store.dead if store.n_dead else None
-            row_lo, row_hi = self._row_slab()
-            ge = np.greater_equal
-            band = np.logical_and.reduce
             bounds = np.array(
                 [window.xl, -window.xu, window.yl, -window.yu,
                  float(-ix0), float(-iy0)]
             ).reshape(6, 1)
-            nx = self.grid.nx
-            for s0, s1 in slab_runs(
-                tb, iy0 * nx + ix0, ix1 - ix0 + 1, iy1 - iy0 + 1, nx,
-                delta, row_lo, row_hi,
-            ):
-                keep = band(ge(q[:, s0:s1], bounds), axis=0)
-                if dead is not None:
-                    # keep &= ~dead, without the temporary: on booleans
-                    # a > b is a and not b.
-                    np.greater(keep, dead[s0:s1], out=keep)
-                pieces.append(ids[s0:s1][keep])
-        for tile_id in delta:
-            plan = plan_tile(
-                tile_id % self.grid.nx, tile_id // self.grid.nx,
-                ix0, ix1, iy0, iy1,
+            pieces = self._slab_ids(
+                ix0, ix1, iy0, iy1, delta,
+                lambda q: _all(np.greater_equal(q, bounds), axis=0),
             )
+        nx = self.grid.nx
+        for tile_id in delta:
+            plan = plan_tile(tile_id % nx, tile_id // nx, ix0, ix1, iy0, iy1)
             self._scan_tile_window(tile_id, window, plan, pieces, stats)
-        if not pieces:
-            return _EMPTY_IDS
-        if len(pieces) == 1 and not delta:
-            return pieces[0]  # a fresh array; overlay pieces may be views
-        return np.concatenate(pieces)
+        return _join(pieces, not delta)
+
+    def _slab_ids(
+        self,
+        ix0: int,
+        ix1: int,
+        iy0: int,
+        iy1: int,
+        delta: list[int],
+        keep: "Callable[[np.ndarray], np.ndarray]",
+    ) -> list[np.ndarray]:
+        """Ids of the base rows of a tile range that ``keep`` admits: per
+        grid row one CSR slab of the :meth:`_build_fast_q` matrix, clamped
+        to :meth:`_row_slab`, ``delta`` tiles cut out, tombstones masked."""
+        q, tb = self._query_matrix()
+        store = self._store
+        ids = store.ids
+        dead = store.dead if store.n_dead else None
+        row_lo, row_hi = self._row_slab()
+        nx = self.grid.nx
+        pieces = []
+        for s0, s1 in slab_runs(
+            tb, iy0 * nx + ix0, ix1 - ix0 + 1, iy1 - iy0 + 1, nx,
+            delta, row_lo, row_hi,
+        ):
+            mask = keep(q[:, s0:s1])
+            if dead is not None:
+                # mask &= ~dead, without the temporary: on booleans a > b
+                # is a and not b.
+                np.greater(mask, dead[s0:s1], out=mask)
+            pieces.append(ids[s0:s1][mask])
+        return pieces
 
     def _window_stats(
         self,
@@ -611,7 +608,7 @@ class TwoLayerGrid:
         """
         store = self._store
         delta_arr = np.asarray(delta, dtype=np.int64) if delta else None
-        for ax, bx, ay, by, plan in self._base_regions(ix0, ix1, iy0, iy1):
+        for ax, bx, ay, by, plan in window_regions(ix0, ix1, iy0, iy1):
             tids = self._region_tids(ax, bx, ay, by)
             if delta_arr is not None:
                 tids = tids[~np.isin(tids, delta_arr)]
@@ -632,6 +629,18 @@ class TwoLayerGrid:
                 for _ in range(int(np.count_nonzero(counts))):
                     stats.visit_class(name)
             stats.visit_tiles(tids, scanned, tile_tot)
+
+    def _query_matrix(self) -> tuple[np.ndarray, list[int]]:
+        """The :meth:`_build_fast_q` matrix and the per-tile row bounds."""
+        q = self._fast_q
+        if q is None:
+            q = self._build_fast_q()
+        tb = self._tile_row_bounds
+        if tb is None:
+            # Derived lazily: a memmap-loaded index ships the matrix, and
+            # load must not page the offsets slab in before a query.
+            tb = self._tile_row_bounds = self._store.offsets[::4].tolist()
+        return q, tb
 
     def _build_fast_q(self) -> np.ndarray:
         """Materialise the per-row query matrix of :meth:`_window_kernel`.
@@ -733,7 +742,8 @@ class TwoLayerGrid:
         if stats is not None and store is not None:
             self._window_stats(ix0, ix1, iy0, iy1, delta, stats)
         delta_arr = np.asarray(delta, dtype=np.int64) if delta else None
-        for ax, bx, ay, by, plan in self._base_regions(ix0, ix1, iy0, iy1):
+        regions = window_regions(ix0, ix1, iy0, iy1) if store is not None else []
+        for ax, bx, ay, by, plan in regions:
             tids = self._region_tids(ax, bx, ay, by)
             if delta_arr is not None:
                 tids = tids[~np.isin(tids, delta_arr)]
@@ -804,65 +814,55 @@ class TwoLayerGrid:
         with trace_span("query.window"):
             with trace_span("filter.lookup"):
                 ix0, ix1, iy0, iy1 = self.grid.tile_range_for_window(window)
-            pieces: list[np.ndarray] = []
             with trace_span("filter.scan"):
-                self._fused_within(window, ix0, ix1, iy0, iy1, pieces, stats)
+                out = self._within_kernel(window, ix0, ix1, iy0, iy1, stats)
             with trace_span("dedup"):
                 pass  # class A only — each object appears once
-            if not pieces:
-                return _EMPTY_IDS
-            return np.concatenate(pieces)
+        self._on_query_result("within", window, out)
+        return out
 
-    def _fused_within(
+    def _within_kernel(
         self,
         window: Rect,
         ix0: int,
         ix1: int,
         iy0: int,
         iy1: int,
-        pieces: list[np.ndarray],
         stats: "QueryStats | None" = None,
-    ) -> None:
-        """The "within" kernel: class A per plan-uniform base region."""
-        store = self._store
-        nx = self.grid.nx
+    ) -> np.ndarray:
+        """The "within" kernel: the window kernel's slabs, class A (the
+        rows with ``+inf`` in both class columns) within containment
+        bounds; past the first tile the start-side tests hold anyway."""
+        pieces: list[np.ndarray] = []
         delta = self._delta_tiles_in_range(ix0, ix1, iy0, iy1)
-        delta_arr = np.asarray(delta, dtype=np.int64) if delta else None
-        for ax, bx, ay, by, plan in self._base_regions(ix0, ix1, iy0, iy1):
-            tids = self._region_tids(ax, bx, ay, by)
-            if delta_arr is not None:
-                tids = tids[~np.isin(tids, delta_arr)]
-            if tids.shape[0] == 0:
-                continue
-            keys = tids * 4  # class A groups
-            counts = store.live_counts_for(keys)
-            total = int(counts.sum())
-            if total == 0:
-                continue
-            n_comparisons = 2 + int(plan.at_x0) + int(plan.at_y0)
-            if stats is not None:
-                stats.partitions_visited += int(np.count_nonzero(counts))
-                stats.rects_scanned += total
-                stats.comparisons += n_comparisons * total
-                for _ in range(int(np.count_nonzero(counts))):
-                    stats.visit_class("A")
-                stats.visit_tiles(tids, counts, self._tile_live_counts(tids))
-            rows = store.gather(keys)
-            mask = (store.xu[rows] <= window.xu) & (store.yu[rows] <= window.yu)
-            if plan.at_x0:
-                mask &= store.xl[rows] >= window.xl
-            if plan.at_y0:
-                mask &= store.yl[rows] >= window.yl
-            pieces.append(store.ids[rows][mask])
+        nx = self.grid.nx
+        if self._store is not None and stats is not None:
+            # Live class-A rows, two comparisons each plus one per
+            # dimension in which the tile is the query's first.
+            tids = self._region_tids(ix0, ix1, iy0, iy1)
+            tids = tids[~np.isin(tids, np.asarray(delta, dtype=np.int64))]
+            counts = self._store.live_counts_for(tids * 4)
+            n_cmp = 2 + (tids % nx == ix0) + (tids // nx == iy0)
+            visited = int(np.count_nonzero(counts))
+            stats.partitions_visited += visited
+            stats.rects_scanned += int(counts.sum())
+            stats.comparisons += int((n_cmp * counts).sum())
+            for _ in range(visited):
+                stats.visit_class("A")
+            stats.visit_tiles(tids, counts, self._tile_live_counts(tids))
+        if self._store is not None:
+            box = np.array([window.xu, -window.xl, window.yu, -window.yl])
+            pieces = self._slab_ids(
+                ix0, ix1, iy0, iy1, delta,
+                lambda q: _all(np.less_equal(q[:4], box[:, None]), axis=0)
+                & _all(q[4:] == np.inf, axis=0),
+            )
         for tile_id in delta:
             self._scan_tile_within(
-                tile_id,
-                window,
-                tile_id % nx == ix0,
-                tile_id // nx == iy0,
-                pieces,
-                stats,
+                tile_id, window, tile_id % nx == ix0, tile_id // nx == iy0,
+                pieces, stats,
             )
+        return _join(pieces, not delta)
 
     def _scan_tile_within(
         self,
@@ -875,35 +875,28 @@ class TwoLayerGrid:
     ) -> None:
         """Per-tile class-A scan for the "within" predicate."""
         cols = self._partition_columns(tile_id, CLASS_A)
-        if cols is None:
+        if cols is None or cols[4].shape[0] == 0:
             return
         xl, yl, xu, yu, ids = cols
-        if ids.shape[0] == 0:
-            return
-        if stats is not None:
-            stats.partitions_visited += 1
-            stats.rects_scanned += ids.shape[0]
-            stats.visit_class("A")
-            stats.visit_tile(
-                tile_id, ids.shape[0], self._tile_live_rows(tile_id)
-            )
         mask = (xu <= window.xu) & (yu <= window.yu)
-        n_comparisons = 2
         if at_x0:
             mask &= xl >= window.xl
-            n_comparisons += 1
         if at_y0:
             mask &= yl >= window.yl
-            n_comparisons += 1
         if stats is not None:
-            stats.comparisons += n_comparisons * ids.shape[0]
+            n = ids.shape[0]
+            stats.partitions_visited += 1
+            stats.rects_scanned += n
+            stats.comparisons += (2 + at_x0 + at_y0) * n
+            stats.visit_class("A")
+            stats.visit_tile(tile_id, n, self._tile_live_rows(tile_id))
         pieces.append(ids[mask])
 
     def count_window(self, window: Rect) -> int:
         """Number of results of a window query (shares the window kernel)."""
         return int(self.window_query(window).shape[0])
 
-    # -- disk queries -------------------------------------------------------------
+    # -- disk and convex range queries (§IV-E) --------------------------------
 
     def disk_query(
         self, query: DiskQuery, stats: "QueryStats | None" = None
@@ -916,179 +909,194 @@ class TwoLayerGrid:
         tile's).  Tiles fully covered by the disk are reported without
         distance computations.  Classes B and D additionally pass a
         canonical-tile test that removes the duplicates arising along the
-        disk's boundary arc (the paper's diagonal rule; see Fig. 5).
+        disk's boundary arc (the paper's diagonal rule; see Fig. 5).  The
+        disk is one convex range of :meth:`range_query`.
         """
+        return self.range_query(query, stats)
+
+    def range_query(
+        self, query: "ConvexRange", stats: "QueryStats | None" = None
+    ) -> np.ndarray:
+        """Ids of all indexed MBRs intersecting a convex range (§IV-E): a
+        disk or any shape of :mod:`repro.core.ranges`, one plan
+        (:meth:`_range_plan`) and one kernel (:meth:`_range_kernel`)."""
         if self._n_objects == 0:
             return _EMPTY_IDS
-        with trace_span("query.disk"):
+        kind = "disk" if isinstance(query, DiskQuery) else "range"
+        with trace_span(f"query.{kind}"):
             with trace_span("filter.lookup"):
-                row_span, tile_jobs = self._disk_plan(query)
-            pieces: list[np.ndarray] = []
+                plan = self._range_plan(query)
             with trace_span("filter.scan"):
-                self._fused_disk(query, row_span, tile_jobs, pieces, stats)
+                out = self._range_kernel(query, plan, stats)
             with trace_span("dedup"):
                 pass  # residual B/D duplicates removed in-scan (canonical tile)
-            if not pieces:
-                return _EMPTY_IDS
-            return np.concatenate(pieces)
+        self._on_query_result("range", query, out)
+        return out
 
-    def _disk_plan(
-        self, query: DiskQuery
-    ) -> tuple[
-        dict[int, tuple[int, int]],
-        list[tuple[int, tuple[int, ...], bool, int]],
-    ]:
-        """The §IV-E evaluation plan for one disk query.
+    def _range_plan(self, query: "ConvexRange") -> "RangePlan | None":
+        """The §IV-E plan of a convex range (``None``: it meets no tile)
+        from one ``classify`` of the tiles under its bounding box, tile
+        columns as a row vector and tile rows as a column vector."""
+        grid = self.grid
+        ix0, ix1, iy0, iy1 = grid.tile_range_for_window(query.bounding_box())
+        xl, yl, xu, yu = grid.tile_bounds
+        cols, rows = slice(ix0, ix1 + 1), slice(iy0, iy1 + 1)
+        kind = query.classify(
+            xl[None, cols], yl[rows, None], xu[None, cols], yu[rows, None]
+        )
+        # Per row, for "meets" then "covers": the first column, the last
+        # one counted from the right, and the number of tiles.
+        flags = np.stack((kind >= 0, kind > 0))
+        first = flags.argmax(axis=2).tolist()
+        last = flags[:, :, ::-1].argmax(axis=2).tolist()
+        count = flags.sum(axis=2).tolist()
+        met = [r for r, n in enumerate(count[0]) if n]
+        if not met:
+            return None
+        spans = []
+        for r in range(met[0], met[-1] + 1):
+            span = [ix0 + first[0][r], ix1 - last[0][r]]
+            if not count[0][r]:
+                span = [ix1 + 1, ix1]
+            # A covered run is used only when contiguous, which convexity
+            # guarantees up to floating-point rounding.
+            run = [ix0 + first[1][r], ix1 - last[1][r]]
+            if not count[1][r] or run[1] - run[0] + 1 != count[1][r]:
+                run = [ix1 + 1, ix1]
+            spans.append(span + run)
+        return RangePlan(grid, iy0 + met[0], spans)
 
-        Returns the per-row contiguous tile spans (disk convexity) and a
-        flat job list ``(tile_id, scanned class codes, fully_covered,
-        row)`` — everything a per-tile scan needs, so the tiles-based
-        batch evaluator (:mod:`repro.core.batch`) can group jobs by tile.
-        """
-        window = query.mbr()
-        ix0, ix1, iy0, iy1 = self.grid.tile_range_for_window(window)
-        radius = query.radius
-        cx, cy = query.cx, query.cy
-
-        row_span: dict[int, tuple[int, int]] = {}
-        for iy in range(iy0, iy1 + 1):
-            lo = None
-            hi = None
-            for ix in range(ix0, ix1 + 1):
-                if min_dist_point_rect(cx, cy, self.grid.tile_rect(ix, iy)) <= radius:
-                    if lo is None:
-                        lo = ix
-                    hi = ix
-            if lo is not None:
-                row_span[iy] = (lo, hi)  # type: ignore[assignment]
-
-        jobs: list[tuple[int, tuple[int, ...], bool, int]] = []
-        for iy, (lx, rx) in row_span.items():
-            base = iy * self.grid.nx
-            prev_row = row_span.get(iy - 1)
-            for ix in range(lx, rx + 1):
-                prev_x_in = ix > lx
-                prev_y_in = prev_row is not None and prev_row[0] <= ix <= prev_row[1]
-                codes = [CLASS_A]
-                if not prev_y_in:
-                    codes.append(CLASS_B)
-                if not prev_x_in:
-                    codes.append(CLASS_C)
-                if not prev_x_in and not prev_y_in:
-                    codes.append(CLASS_D)
-                covered = (
-                    max_dist_point_rect(cx, cy, self.grid.tile_rect(ix, iy)) <= radius
-                )
-                jobs.append((base + ix, tuple(codes), covered, iy))
-        return row_span, jobs
-
-    def _fused_disk(
+    def _range_kernel(
         self,
-        query: DiskQuery,
-        row_span: dict[int, tuple[int, int]],
-        tile_jobs: list[tuple[int, tuple[int, ...], bool, int]],
-        pieces: list[np.ndarray],
+        query: "ConvexRange",
+        plan: "RangePlan | None",
         stats: "QueryStats | None" = None,
-    ) -> None:
-        """Disk kernel: jobs batched by (class, coverage).
+    ) -> np.ndarray:
+        """The §IV-E kernel: each plan row's span is one CSR slab.
 
-        All tiles scanning the same class with the same coverage status
-        are gathered and distance-tested in one vectorised pass; the
-        canonical-tile test for classes B/D runs on the stitched rows
-        with per-row tile-row indices.  Overlay tiles fall back to the
-        per-tile scan.
+        The :meth:`_build_fast_q` class columns skip classes: C/D rows
+        pass only in the span's first tile (``-tile_ix >= -lo``), B/D
+        rows fail (``-tile_iy > -iy``) where the previous row's span
+        holds the tile.  ``intersects_rects`` verifies the slab in one
+        call — a covered tile's rows pass it anyway, so only the
+        accounting and the per-tile path skip them — and B/D rows past
+        the previous span pass :meth:`RangePlan.canonical`.  Clamping, tombstones, overlay tiles
+        (:meth:`_scan_tile_range`) and accounting (:meth:`_range_stats`)
+        work as in the window kernel.
         """
+        if plan is None:
+            return _EMPTY_IDS
+        nx = self.grid.nx
+        spans = plan.spans
+        delta = [
+            t
+            for t in self._delta_tiles_in_range(0, nx - 1, plan.iy0, plan.iy1)
+            for lo, hi, _, _ in (spans[t // nx - plan.iy0],)
+            if lo <= t % nx <= hi
+        ]
+        pieces: list[np.ndarray] = []
         store = self._store
-        radius = query.radius
-        cx, cy = query.cx, query.cy
-        fused_jobs = []
-        delta_jobs = []
-        for job in tile_jobs:
-            (delta_jobs if job[0] in self._tiles else fused_jobs).append(job)
-        if store is not None and fused_jobs:
+        if store is not None:
             if stats is not None:
-                tids_all = np.asarray([j[0] for j in fused_jobs], dtype=np.int64)
-                tile_tot = self._tile_live_counts(tids_all)
-                stats.partitions_visited += int(np.count_nonzero(tile_tot))
-                tid_pos = {int(t): i for i, t in enumerate(tids_all)}
-                scanned_all = np.zeros(tids_all.shape[0], dtype=np.int64)
-            for code in (CLASS_A, CLASS_B, CLASS_C, CLASS_D):
-                for want_covered in (False, True):
-                    batch = [
-                        j
-                        for j in fused_jobs
-                        if j[2] is want_covered and code in j[1]
-                    ]
-                    if not batch:
-                        continue
-                    tids = np.asarray([j[0] for j in batch], dtype=np.int64)
-                    keys = tids * 4 + code
-                    counts = store.live_counts_for(keys)
-                    total = int(counts.sum())
-                    if total == 0:
-                        continue
-                    if stats is not None:
-                        stats.rects_scanned += total
-                        scanned_all[
-                            np.fromiter(
-                                (tid_pos[int(t)] for t in tids),
-                                dtype=np.int64,
-                                count=tids.shape[0],
-                            )
-                        ] += counts
-                        name = CLASS_NAMES[code]
-                        for _ in range(int(np.count_nonzero(counts))):
-                            stats.visit_class(name)
-                    rows = store.gather(keys)
-                    if want_covered:
-                        qual = np.ones(total, dtype=bool)
-                    else:
-                        dx = np.maximum(
-                            np.maximum(store.xl[rows] - cx, 0.0),
-                            cx - store.xu[rows],
-                        )
-                        dy = np.maximum(
-                            np.maximum(store.yl[rows] - cy, 0.0),
-                            cy - store.yu[rows],
-                        )
-                        qual = dx * dx + dy * dy <= radius * radius
-                        if stats is not None:
-                            stats.comparisons += 2 * total
-                    if code in (CLASS_B, CLASS_D):
-                        iys = np.repeat(
-                            np.asarray([j[3] for j in batch], dtype=np.int64),
-                            counts,
-                        )
-                        qual &= self._canonical_keep_rows(
-                            store.xl[rows],
-                            store.yl[rows],
-                            store.xu[rows],
-                            iys,
-                            row_span,
-                            stats,
-                        )
-                    pieces.append(store.ids[rows][qual])
-            if stats is not None:
-                stats.visit_tiles(tids_all, scanned_all, tile_tot)
-        for tile_id, codes, covered, iy in delta_jobs:
-            self._scan_tile_disk(
-                tile_id, query, codes, covered, iy, row_span, pieces, stats
-            )
+                self._range_stats(query, plan, delta, stats)
+            q, tb = self._query_matrix()
+            xl, yl, xu, yu = store.xl, store.yl, store.xu, store.yu
+            dead = store.dead if store.n_dead else None
+            row_lo, row_hi = self._row_slab()
 
-    def _scan_tile_disk(
+            def at(ix: int) -> int:
+                """Offset of tile column ``ix``'s first row in the slab."""
+                return min(max(tb[t0 + ix], s0), s1) - s0
+
+            prev = (nx, -1)
+            for iy, (lo, hi, _, _) in enumerate(spans, plan.iy0):
+                t0 = iy * nx
+                s0 = max(tb[t0 + lo], row_lo)
+                s1 = min(tb[t0 + hi + 1], row_hi)
+                a, b = max(lo, prev[0]), min(hi, prev[1])
+                prev = (lo, hi)
+                if lo > hi or s0 >= s1:
+                    continue
+                keep = q[4, s0:s1] >= -lo
+                if a <= b:
+                    m0, m1 = at(a), at(b + 1)
+                    keep[m0:m1] &= q[5, s0 + m0 : s0 + m1] > -iy
+                keep &= query.intersects_rects(
+                    xl[s0:s1], yl[s0:s1], xu[s0:s1], yu[s0:s1]
+                )
+                if dead is not None:
+                    np.greater(keep, dead[s0:s1], out=keep)
+                if iy > plan.iy0 and (a > lo or b < hi):
+                    bd = np.flatnonzero(keep & (q[5, s0:s1] < np.inf))
+                    if bd.shape[0]:
+                        rows = bd + s0
+                        keep[bd] = plan.canonical(xl[rows], yl[rows], xu[rows], iy)
+                skip = [t for t in delta if t0 <= t < t0 + nx]
+                for u0, u1 in slab_runs(
+                    tb, t0 + lo, hi - lo + 1, 1, nx, skip, s0, s1
+                ):
+                    pieces.append(store.ids[u0:u1][keep[u0 - s0 : u1 - s0]])
+        for tile_id in delta:
+            self._scan_tile_range(tile_id, query, plan, pieces, stats)
+        return _join(pieces, not delta)
+
+    def _range_stats(
+        self,
+        query: "ConvexRange",
+        plan: "RangePlan",
+        delta: list[int],
+        stats: QueryStats,
+    ) -> None:
+        """§IV-E accounting of a range query's base rows, from the offsets:
+        the classes a span tile scans, and whether it verifies them, follow
+        from its place in the plan, as in :meth:`_scan_tile_range`.
+        ``delta`` tiles are counted by their scan."""
+        lo, hi, clo, chi = plan.table
+        row = np.repeat(np.arange(lo.shape[0]), np.maximum(hi - lo + 1, 0))
+        ix = ranges_to_rows(lo, hi + 1)
+        tids = (plan.iy0 + row) * self.grid.nx + ix
+        first = ix == lo[row]
+        prev_in = (row > 0) & (ix >= lo[row - 1]) & (ix <= hi[row - 1])
+        covered = (ix >= clo[row]) & (ix <= chi[row])
+        mask = ~np.isin(tids, np.asarray(delta, dtype=np.int64))
+        owned = self._owned(tids)
+        if owned is not None:
+            mask &= owned
+        tids, first, prev_in, covered = (
+            tids[mask], first[mask], prev_in[mask], covered[mask]
+        )
+        tile_tot = self._tile_live_counts(tids)
+        stats.partitions_visited += int(np.count_nonzero(tile_tot))
+        counts = self._store.live_counts_for(tids[:, None] * 4 + np.arange(4))
+        counts[:, CLASS_B] *= ~prev_in
+        counts[:, CLASS_C] *= first
+        counts[:, CLASS_D] *= first & ~prev_in
+        scanned = counts.sum(axis=1)
+        stats.rects_scanned += int(scanned.sum())
+        stats.comparisons += query.comparisons_per_rect * int(
+            scanned[~covered].sum()
+        )
+        stats.dedup_checks += int(counts[:, [CLASS_B, CLASS_D]].sum())
+        for code in (CLASS_A, CLASS_B, CLASS_C, CLASS_D):
+            for _ in range(int(np.count_nonzero(counts[:, code]))):
+                stats.visit_class(CLASS_NAMES[code])
+        stats.visit_tiles(tids, scanned, tile_tot)
+
+    def _scan_tile_range(
         self,
         tile_id: int,
-        query: DiskQuery,
-        codes: tuple[int, ...],
-        covered: bool,
-        iy: int,
-        row_span: dict[int, tuple[int, int]],
+        query: "ConvexRange",
+        plan: "RangePlan",
         pieces: list[np.ndarray],
         stats: "QueryStats | None" = None,
     ) -> None:
-        """Scan one tile's relevant classes for one disk query."""
-        radius = query.radius
-        cx, cy = query.cx, query.cy
+        """Scan one span tile's classes for one range query (§IV-E).
+
+        The overlay-tile path of :meth:`_range_kernel` and the subtask of
+        :func:`~repro.core.batch.evaluate_disk_tiles_based`.
+        """
+        iy = tile_id // self.grid.nx
+        codes, covered = plan.tile(tile_id % self.grid.nx, iy)
         if stats is not None:
             if not self._tile_has_rows(tile_id):
                 return
@@ -1096,73 +1104,93 @@ class TwoLayerGrid:
         scanned = 0
         for code in codes:
             cols = self._partition_columns(tile_id, code)
-            if cols is None:
+            if cols is None or cols[4].shape[0] == 0:
                 continue
             xl, yl, xu, yu, ids = cols
-            if ids.shape[0] == 0:
-                continue
+            n = ids.shape[0]
+            b_or_d = code in (CLASS_B, CLASS_D)
             if stats is not None:
-                stats.rects_scanned += ids.shape[0]
+                stats.rects_scanned += n
                 stats.visit_class(CLASS_NAMES[code])
-                scanned += ids.shape[0]
-            if covered:
-                qual = np.ones(ids.shape[0], dtype=bool)
-            else:
-                dx = np.maximum(np.maximum(xl - cx, 0.0), cx - xu)
-                dy = np.maximum(np.maximum(yl - cy, 0.0), cy - yu)
-                qual = dx * dx + dy * dy <= radius * radius
-                if stats is not None:
-                    stats.comparisons += 2 * ids.shape[0]
-            if code in (CLASS_B, CLASS_D):
-                qual &= self._canonical_keep(xl, yl, xu, iy, row_span, stats)
-            pieces.append(ids[qual])
+                scanned += n
+                stats.comparisons += 0 if covered else query.comparisons_per_rect * n
+                stats.dedup_checks += n if b_or_d else 0
+            qual = None if covered else query.intersects_rects(xl, yl, xu, yu)
+            if b_or_d:
+                keep = plan.canonical(xl, yl, xu, iy)
+                qual = keep if qual is None else qual & keep
+            pieces.append(ids if qual is None else ids[qual])
         if stats is not None:
             stats.visit_tile(tile_id, scanned, self._tile_live_rows(tile_id))
 
-    def _canonical_keep(
-        self,
-        xl: np.ndarray,
-        yl: np.ndarray,
-        xu: np.ndarray,
-        iy: int,
-        row_span: dict[int, tuple[int, int]],
-        stats: "QueryStats | None",
-    ) -> np.ndarray:
-        """Keep mask for class-B/D rectangles of one tile (scalar row)."""
-        iys = np.full(xl.shape[0], iy, dtype=np.int64)
-        return self._canonical_keep_rows(xl, yl, xu, iys, row_span, stats)
 
-    def _canonical_keep_rows(
-        self,
-        xl: np.ndarray,
-        yl: np.ndarray,
-        xu: np.ndarray,
-        iys: np.ndarray,
-        row_span: dict[int, tuple[int, int]],
-        stats: "QueryStats | None",
-    ) -> np.ndarray:
-        """Keep mask for class-B/D rectangles: is this their canonical tile?
+#: §IV-E class skipping: the classes a span tile scans, by (the previous
+#: row's span holds the tile, the tile opens its row's span).
+_RANGE_CODES = {
+    (False, False): (CLASS_A, CLASS_B),
+    (False, True): (CLASS_A, CLASS_B, CLASS_C, CLASS_D),
+    (True, False): (CLASS_A,),
+    (True, True): (CLASS_A, CLASS_C),
+}
 
-        A rectangle's canonical reporting tile is the first tile (in
-        row-major order) among the disk-intersecting tiles its MBR covers.
-        Class-B/D rectangles start above their scan row (``iys[k]``), so
-        the test scans the rows between the rectangle's start row and the
-        scan row for an overlap with the rectangle's column span; any
-        overlap means the rectangle was already reported there.
-        """
-        n = xl.shape[0]
-        keep = np.ones(n, dtype=bool)
-        start_rows = self.grid.tile_iy_array(yl)
-        start_cols = self.grid.tile_ix_array(xl)
-        end_cols = self.grid.tile_ix_array(xu)
-        for k in range(n):
-            for j in range(int(start_rows[k]), int(iys[k])):
-                span = row_span.get(j)
-                if span is None:
-                    continue
-                if max(int(start_cols[k]), span[0]) <= min(int(end_cols[k]), span[1]):
-                    keep[k] = False
-                    break
-            if stats is not None:
-                stats.dedup_checks += 1
-        return keep
+
+class RangePlan:
+    """The §IV-E plan of one convex range over a grid.
+
+    ``spans[r] = [lo, hi, clo, chi]`` for grid row ``iy0 + r``: the tile
+    columns ``lo..hi`` meeting the range (convexity makes them
+    contiguous; none when ``lo > hi``) and the run ``clo..chi`` it
+    covers (none when ``clo > chi``).
+    """
+
+    __slots__ = ("grid", "iy0", "iy1", "spans", "table")
+
+    def __init__(
+        self, grid: GridPartitioner, iy0: int, spans: "list[list[int]]"
+    ):
+        self.grid = grid
+        self.iy0 = iy0
+        self.iy1 = iy0 + len(spans) - 1
+        self.spans = spans
+        #: ``spans`` transposed into four int64 rows (lo, hi, clo, chi).
+        self.table = np.array(spans, dtype=np.int64).T
+
+    def tile_ids(self) -> list[int]:
+        """Every span tile, row-major."""
+        nx = self.grid.nx
+        return [
+            iy * nx + ix
+            for iy, (lo, hi, _, _) in enumerate(self.spans, self.iy0)
+            for ix in range(lo, hi + 1)
+        ]
+
+    def tile(self, ix: int, iy: int) -> tuple[tuple[int, ...], bool]:
+        """Scanned class codes and coverage of span tile ``(ix, iy)``."""
+        lo, _, clo, chi = self.spans[iy - self.iy0]
+        prev = self.spans[iy - self.iy0 - 1] if iy > self.iy0 else (1, 0)
+        return _RANGE_CODES[prev[0] <= ix <= prev[1], ix == lo], clo <= ix <= chi
+
+    def canonical(
+        self, xl: np.ndarray, yl: np.ndarray, xu: np.ndarray, iy: int
+    ) -> np.ndarray:
+        """Keep mask for class-B/D rectangles scanned in grid row ``iy``:
+        each is reported in the first span tile (row-major) its MBR
+        covers, so it is a duplicate iff an earlier row's span, from its
+        start row on, meets its columns — one broadcast over rows."""
+        n_prev = iy - self.iy0
+        grid = self.grid
+        lo, hi = self.table[:2, :n_prev]
+        seen = (grid.tile_iy_array(yl)[:, None] <= np.arange(self.iy0, iy)) & (
+            np.maximum(grid.tile_ix_array(xl)[:, None], lo)
+            <= np.minimum(grid.tile_ix_array(xu)[:, None], hi)
+        )
+        return ~seen.any(axis=1)
+
+
+def _join(pieces: list[np.ndarray], fresh: bool) -> np.ndarray:
+    """One result that owns its memory; ``fresh``: no piece is a view."""
+    if not pieces:
+        return _EMPTY_IDS
+    if len(pieces) == 1 and fresh:
+        return pieces[0]
+    return np.concatenate(pieces)

@@ -53,6 +53,9 @@ class DiskQuery:
         if self.radius < 0:
             raise InvalidQueryError(f"negative disk radius: {self.radius}")
 
+    #: a verified rectangle costs one distance term per axis.
+    comparisons_per_rect = 2
+
     def mbr(self) -> Rect:
         return Rect(
             self.cx - self.radius,
@@ -60,6 +63,39 @@ class DiskQuery:
             self.cx + self.radius,
             self.cy + self.radius,
         )
+
+    # -- the convex-range interface of the §IV-E engine -------------------
+
+    bounding_box = mbr
+
+    def classify(
+        self, xl: np.ndarray, yl: np.ndarray, xu: np.ndarray, yu: np.ndarray
+    ) -> np.ndarray:
+        """-1 / 0 / 1 per rectangle: disjoint, partial, covered.
+
+        Per axis, with ``a = lo - c`` and ``b = c - hi``, the nearest
+        offset is ``max(a, b, 0)`` (as in :meth:`intersects_rects`) and
+        the farthest ``|min(a, b)|``, so column and row vectors broadcast
+        into a tile matrix at one pass per axis.
+        """
+        a, b = xl - self.cx, self.cx - xu
+        c, d = yl - self.cy, self.cy - yu
+        near = (
+            np.maximum(np.maximum(a, b), 0.0) ** 2
+            + np.maximum(np.maximum(c, d), 0.0) ** 2
+        )
+        far = np.minimum(a, b) ** 2 + np.minimum(c, d) ** 2
+        r2 = self.radius * self.radius
+        return np.add(near <= r2, far <= r2, dtype=np.int8) - 1
+
+    def intersects_rects(
+        self, xl: np.ndarray, yl: np.ndarray, xu: np.ndarray, yu: np.ndarray
+    ) -> np.ndarray:
+        """Which MBRs lie within ``radius`` of the centre (closed test)."""
+        cx, cy = self.cx, self.cy
+        dx = np.maximum(np.maximum(xl - cx, 0.0), cx - xu)
+        dy = np.maximum(np.maximum(yl - cy, 0.0), cy - yu)
+        return dx * dx + dy * dy <= self.radius * self.radius
 
     @property
     def relative_area(self) -> float:

@@ -62,7 +62,7 @@ UNIT_DOMAIN = Rect(0.0, 0.0, 1.0, 1.0)
 class GridPartitioner:
     """Tile arithmetic for a regular ``nx * ny`` grid over a domain."""
 
-    __slots__ = ("domain", "nx", "ny", "tile_w", "tile_h")
+    __slots__ = ("domain", "nx", "ny", "tile_w", "tile_h", "tile_bounds")
 
     def __init__(self, nx: int, ny: int, domain: Rect = UNIT_DOMAIN):
         if nx < 1 or ny < 1:
@@ -74,6 +74,14 @@ class GridPartitioner:
         self.ny = ny
         self.tile_w = domain.width / nx
         self.tile_h = domain.height / ny
+        xl = domain.xl + np.arange(nx) * self.tile_w
+        yl = domain.yl + np.arange(ny) * self.tile_h
+        #: ``(xl, yl, xu, yu)``: every column's x extent and every row's
+        #: y extent, the floats :meth:`tile_rect` computes.
+        self.tile_bounds = (
+            xl, yl, np.append(xl[:-1] + self.tile_w, domain.xu),
+            np.append(yl[:-1] + self.tile_h, domain.yu),
+        )
 
     @property
     def tile_count(self) -> int:

@@ -7,27 +7,26 @@ Clamping (rather than physically slicing the columns) keeps every global
 invariant intact:
 
 * plans stay global — region decomposition, class scanning rules and
-  the disk canonical-tile ``row_span`` are computed over the full grid,
-  so each replica's *reporting* tile is the same tile it would report
-  from in a single-process index;
+  the §IV-E range plan's row spans (which the canonical-tile test
+  reads) are computed over the full grid, so each replica's *reporting*
+  tile is the same tile it would report from in a single-process index;
 * tile ownership partitions the tile space, and the two-layer scheme
   emits every result in exactly one tile (Lemmas 1-2 / §IV-E), so the
   union of band results over all shards equals the global result with
   no duplicates and no misses — the scatter-gather merge is pure
   concatenation;
-* a band is a contiguous CSR row slab, so the window kernel bands by
-  clamping each per-grid-row slab run to ``[row_lo, row_hi)`` — still
-  one broadcast comparison per run.
+* a band is a contiguous CSR row slab, so the window, within and range
+  kernels band by clamping each per-grid-row slab to ``[row_lo,
+  row_hi)`` — still one broadcast comparison per slab.
 
 The clamp rides on parent hooks: :meth:`~repro.core.two_layer
-.TwoLayerGrid._region_tids` (window accounting, within and chunk
-kernels), :meth:`~repro.core.two_layer.TwoLayerGrid._row_slab` (the
-window kernel's slabs), :meth:`~repro.core.two_layer.TwoLayerGrid
-._tile_has_rows` (per-tile paths and the tiles-based batch evaluators),
-the overlay and disk-job filters, and :meth:`~repro.core.two_layer
-.TwoLayerGrid._fork_shell` (snapshot forks keep the band).  kNN is *not*
-banded — its radius-doubling search is routed to a single worker which
-runs it on :meth:`global_view`.
+.TwoLayerGrid._owned` (the accounting walks and the overlay filter),
+:meth:`~repro.core.two_layer.TwoLayerGrid._row_slab` (the kernels'
+slabs), :meth:`~repro.core.two_layer.TwoLayerGrid._tile_has_rows`
+(per-tile paths and the tiles-based batch evaluators) and
+:meth:`~repro.core.two_layer.TwoLayerGrid._fork_shell` (snapshot forks
+keep the band).  kNN is *not* banded — its radius-doubling search is
+routed to a single worker which runs it on :meth:`global_view`.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.two_layer import TwoLayerGrid
-from repro.datasets.queries import DiskQuery
-from repro.geometry.mbr import Rect
 from repro.grid.base import GridPartitioner
 from repro.shard.partition import ShardBand
 
@@ -55,12 +52,8 @@ class BandedTwoLayerGrid(TwoLayerGrid):
 
     # -- band clamps --------------------------------------------------------
 
-    def _region_tids(self, ax: int, bx: int, ay: int, by: int) -> np.ndarray:
-        tids = super()._region_tids(ax, bx, ay, by)
-        keep = (tids >= self.band.t_lo) & (tids < self.band.t_hi)
-        if bool(keep.all()):
-            return tids
-        return tids[keep]
+    def _owned(self, tids: np.ndarray) -> np.ndarray:
+        return (tids >= self.band.t_lo) & (tids < self.band.t_hi)
 
     def _row_slab(self) -> tuple[int, int]:
         # Owned tiles of any grid row's slab are one contiguous sub-slab.
@@ -71,30 +64,7 @@ class BandedTwoLayerGrid(TwoLayerGrid):
             return False
         return super()._tile_has_rows(tile_id)
 
-    def _delta_tiles_in_range(
-        self, ix0: int, ix1: int, iy0: int, iy1: int
-    ) -> list[int]:
-        band = self.band
-        return [
-            tid
-            for tid in super()._delta_tiles_in_range(ix0, ix1, iy0, iy1)
-            if band.t_lo <= tid < band.t_hi
-        ]
-
-    def _disk_plan(
-        self, query: DiskQuery
-    ) -> tuple[
-        dict[int, tuple[int, int]],
-        list[tuple[int, tuple[int, ...], bool, int]],
-    ]:
-        # Keep the *global* row spans — the canonical-tile B/D dedup is
-        # geometric and must see every disk-intersecting tile, owned or
-        # not — but only scan jobs for owned tiles.
-        row_span, jobs = super()._disk_plan(query)
-        band = self.band
-        return row_span, [j for j in jobs if band.t_lo <= j[0] < band.t_hi]
-
-    def _on_window_result(self, window: Rect, out: np.ndarray) -> None:
+    def _on_query_result(self, kind: str, query: object, out: np.ndarray) -> None:
         # A band's partial result would falsely fail the global naive
         # reference; the router cross-checks the *merged* result.
         return None

@@ -11,7 +11,9 @@ tests check it against two independent references:
 * :class:`~repro.stats.QueryStats` accounting of the fused 2-layer
   kernels against the per-tile path on the same index
   (``window_query`` vs :func:`~repro.core.batch.evaluate_tiles_based`,
-  ``disk_query`` vs :func:`~repro.core.batch.evaluate_disk_tiles_based`),
+  ``disk_query`` vs :func:`~repro.core.batch.evaluate_disk_tiles_based`,
+  convex ranges vs a walk of ``_scan_tile_range`` over the plan's
+  tiles, ``window_query_within`` vs a walk of ``_scan_tile_within``),
   and of the 1-layer window kernel against a per-tile walk of
   ``_scan_tile_window`` with the same dedup technique — on clean
   indexes and under pending overlay rows and tombstones.
@@ -101,13 +103,28 @@ def brute_window(data: RectDataset, w: Rect, live=None) -> np.ndarray:
     return np.flatnonzero(hit & live_mask(data, live))
 
 
-def brute_within(data: RectDataset, w: Rect) -> np.ndarray:
-    return np.flatnonzero(
+def brute_within(data: RectDataset, w: Rect, live=None) -> np.ndarray:
+    inside = (
         (data.xl >= w.xl)
         & (data.xu <= w.xu)
         & (data.yl >= w.yl)
         & (data.yu <= w.yu)
     )
+    return np.flatnonzero(inside & live_mask(data, live))
+
+
+def brute_polygon(data: RectDataset, poly: ConvexPolygonRange, live=None) -> np.ndarray:
+    """Per-object exact polygon test (``Polygon.intersects_rect``)."""
+    box = poly.bounding_box()
+    near = np.flatnonzero(
+        (data.xl <= box.xu)
+        & (data.xu >= box.xl)
+        & (data.yl <= box.yu)
+        & (data.yu >= box.yl)
+        & live_mask(data, live)
+    )
+    hit = [int(i) for i in near if poly.polygon.intersects_rect(data.rect(int(i)))]
+    return np.asarray(hit, dtype=np.int64)
 
 
 def brute_disk(data: RectDataset, q: DiskQuery, live=None) -> np.ndarray:
@@ -186,6 +203,39 @@ def assert_one_layer_stats_match(index: OneLayerGrid, w: Rect, label="") -> None
     assert kernel.class_scans == per_tile.class_scans, label
 
 
+def range_tile_walk(index: TwoLayerGrid, q, stats: QueryStats) -> np.ndarray:
+    """Per-tile reference for a range query: ``_scan_tile_range`` over
+    every span tile of the range's plan, in row-major order."""
+    plan = index._range_plan(q)
+    pieces: list[np.ndarray] = []
+    for tile_id in plan.tile_ids() if plan is not None else ():
+        index._scan_tile_range(tile_id, q, plan, pieces, stats)
+    return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+
+
+def within_tile_walk(index: TwoLayerGrid, w: Rect, stats: QueryStats) -> np.ndarray:
+    """Per-tile reference for a "within" query: ``_scan_tile_within``
+    over every tile of the range, in row-major order."""
+    ix0, ix1, iy0, iy1 = index.grid.tile_range_for_window(w)
+    pieces: list[np.ndarray] = []
+    for iy in range(iy0, iy1 + 1):
+        for ix in range(ix0, ix1 + 1):
+            index._scan_tile_within(
+                index.grid.tile_id(ix, iy), w, ix == ix0, iy == iy0, pieces, stats
+            )
+    return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+
+
+def assert_walk_stats_match(run, walk, label="") -> None:
+    """A kernel call and its per-tile walk agree on ids and accounting."""
+    kernel, per_tile = ExplainStats(), ExplainStats()
+    got_k = run(kernel)
+    got_t = walk(per_tile)
+    assert ids_set(got_k) == ids_set(got_t), label
+    assert kernel.as_dict() == per_tile.as_dict(), label
+    assert kernel.class_scans == per_tile.class_scans, label
+
+
 def assert_disk_stats_match(index: TwoLayerGrid, q: DiskQuery, label="") -> None:
     fused, per_tile = ExplainStats(), ExplainStats()
     got_f = index.disk_query(q, fused)
@@ -223,6 +273,11 @@ class TestTwoLayerParity:
                 brute_within(data, w),
                 repr(w),
             )
+            assert_walk_stats_match(
+                lambda s: index.window_query_within(w, s),
+                lambda s: within_tile_walk(index, w, s),
+                repr(w),
+            )
 
     def test_count_window(self, index, data):
         for w in windows(25, seed=17):
@@ -249,10 +304,12 @@ class TestTwoLayerParity:
         poly = ConvexPolygonRange(
             [(0.2, 0.1), (0.8, 0.3), (0.7, 0.9), (0.25, 0.7)]
         )
-        expected = np.flatnonzero(
-            poly.intersects_rects(data.xl, data.yl, data.xu, data.yu)
-        )
+        expected = brute_polygon(data, poly)
         assert_ids(convex_range_query(index, poly, QueryStats()), expected)
+        assert_walk_stats_match(
+            lambda s: convex_range_query(index, poly, s),
+            lambda s: range_tile_walk(index, poly, s),
+        )
 
     def test_batch_evaluators(self, index, data):
         ws = windows(12, seed=29)
@@ -346,6 +403,10 @@ class TestMaintenanceParity:
         live = set(range(len(base)))
         probe = windows(6, seed=53)
         disk_probe = disks(3, seed=59)
+        poly_probe = [
+            ConvexPolygonRange([(0.1, 0.2), (0.6, 0.05), (0.8, 0.6), (0.3, 0.9)]),
+            ConvexPolygonRange([(0.55, 0.5), (0.95, 0.55), (0.7, 0.95)]),
+        ]
         for round_no in range(6):
             for _ in range(20):  # inserts land in the delta overlay
                 w = float(rng.uniform(0.005, 0.1))
@@ -380,6 +441,29 @@ class TestMaintenanceParity:
                 # The 1-layer disk query has one (per-tile) path only.
                 if cls is TwoLayerGrid:
                     assert_disk_stats_match(index, q, label)
+            if cls is TwoLayerGrid:  # within and convex ranges: 2-layer only
+                for w in probe:
+                    assert_ids(
+                        index.window_query_within(w),
+                        brute_within(current, w, live),
+                        label,
+                    )
+                    assert_walk_stats_match(
+                        lambda s: index.window_query_within(w, s),
+                        lambda s: within_tile_walk(index, w, s),
+                        label,
+                    )
+                for poly in poly_probe:
+                    assert_ids(
+                        convex_range_query(index, poly),
+                        brute_polygon(current, poly, live),
+                        label,
+                    )
+                    assert_walk_stats_match(
+                        lambda s: convex_range_query(index, poly, s),
+                        lambda s: range_tile_walk(index, poly, s),
+                        label,
+                    )
             if round_no == 3:
                 # Folding the overlay + tombstones must not change results.
                 index.compact()
@@ -390,16 +474,23 @@ class TestMaintenanceParity:
 
     @pytest.mark.parametrize("cls", [TwoLayerGrid, OneLayerGrid])
     def test_result_owns_its_memory(self, cls):
-        # The only result rows come from an overlay tile the window
+        # The only result rows come from an overlay tile the query
         # covers, where no comparison is needed: the caller must still
         # get a fresh array, not a view of the stored ids.
         base = RectDataset.from_rects([Rect(0.9, 0.9, 0.95, 0.95)])
         index = cls.build(base, partitions_per_dim=4)
         index.insert(Rect(0.3, 0.3, 0.4, 0.4), 1)
         w = Rect(0.2, 0.2, 0.7, 0.7)
-        out = index.window_query(w)
-        out[:] = -1
-        assert index.window_query(w).tolist() == [1]
+        queries = [
+            index.window_query,
+            lambda _: index.disk_query(DiskQuery(0.35, 0.35, 0.4)),
+        ]
+        if cls is TwoLayerGrid:
+            queries.append(index.window_query_within)
+        for query in queries:
+            out = query(w)
+            out[:] = -1
+            assert query(w).tolist() == [1]
 
 
 class TestExplainParity:
@@ -470,6 +561,11 @@ class TestPersistenceParity:
             assert_ids(loaded.window_query(w, got), brute_window(data, w))
             index.window_query(w, ref)
             assert got.as_dict() == ref.as_dict()
+            assert_ids(loaded.window_query_within(w), brute_within(data, w))
+        for q in disks(6, seed=61):
+            assert_ids(loaded.disk_query(q), brute_disk(data, q))
+        poly = ConvexPolygonRange([(0.15, 0.3), (0.6, 0.1), (0.85, 0.7)])
+        assert_ids(convex_range_query(loaded, poly), brute_polygon(data, poly))
 
     def test_packed_save_after_updates(self, tmp_path):
         base = generate_uniform_rects(300, area=1e-3, seed=61)

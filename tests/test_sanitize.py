@@ -2,9 +2,11 @@
 
 Three layers under test: structural validation of the packed CSR base
 (``check_packed_store``), delta/base disjointness and publish-time
-freezing (``check_snapshot``), and the sampled window-query cross-check
-against a naive per-tile scan (``on_window_query``).  Each corruption
-must surface as a :class:`SanitizerError` naming the failed check.
+freezing (``check_snapshot``), and the sampled query cross-check
+(``on_query``) of window, "within", disk and convex-range results
+against a brute-force scan of the live rows.
+Each corruption must surface as a :class:`SanitizerError` naming the
+failed check.
 """
 
 from __future__ import annotations
@@ -19,15 +21,18 @@ from repro.analysis.sanitize import (
     check_snapshot,
     enabled,
     freeze_array,
+    naive_ids,
     naive_window_ids,
     on_window_query,
     verify_window_result,
 )
-from repro.core import TwoLayerGrid
-from repro.datasets import generate_uniform_rects
+from repro.core import ConvexPolygonRange, TwoLayerGrid, convex_range_query
+from repro.datasets import DiskQuery, generate_uniform_rects
 from repro.geometry import Rect
 from repro.grid import OneLayerGrid
 from repro.grid.storage import PackedStore, TileTable
+from repro.shard.banded import BandedTwoLayerGrid
+from repro.shard.partition import plan_bands
 
 
 def small_store(n_classes: int = 4) -> PackedStore:
@@ -208,6 +213,81 @@ class TestWindowCrossCheck:
         ids = index.window_query(window)
         with expect_check("window_dedup"):
             verify_window_result(index, window, np.append(ids, ids[:1]))
+
+
+class TestQueryCrossCheck:
+    """Disk, "within" and convex-range results are cross-checked too."""
+
+    WINDOW = Rect(0.2, 0.2, 0.6, 0.6)
+    DISK = DiskQuery(0.4, 0.45, 0.2)
+    POLY = ConvexPolygonRange([(0.2, 0.2), (0.7, 0.3), (0.4, 0.8)])
+
+    @pytest.fixture()
+    def index(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        monkeypatch.setenv("REPRO_SANITIZE_SAMPLE", "1")
+        data = generate_uniform_rects(600, area=1e-3, seed=31)
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
+        index.insert(Rect(0.3, 0.3, 0.32, 0.33), 600)  # an overlay row
+        assert index.delete(data.rect(7), 7)  # a tombstone
+        return index
+
+    def queries(self, index):
+        return {
+            "within": lambda: index.window_query_within(self.WINDOW),
+            "range": lambda: index.disk_query(self.DISK),
+            "polygon": lambda: convex_range_query(index, self.POLY),
+        }
+
+    def test_correct_results_pass(self, index):
+        for run in self.queries(index).values():
+            run()
+        got = np.sort(index.disk_query(self.DISK))
+        assert np.array_equal(got, naive_ids(index, "range", self.DISK))
+        assert 600 in got.tolist() and 7 not in got.tolist()
+
+    def test_seeded_kernel_bug_is_caught(self, index, monkeypatch):
+        # A kernel that drops its last id: every shape must trip.
+        def lossy(kernel):
+            return lambda *args, **kw: kernel(*args, **kw)[:-1]
+
+        monkeypatch.setattr(
+            TwoLayerGrid, "_within_kernel", lossy(TwoLayerGrid._within_kernel)
+        )
+        monkeypatch.setattr(
+            TwoLayerGrid, "_range_kernel", lossy(TwoLayerGrid._range_kernel)
+        )
+        for kind, run in self.queries(index).items():
+            check = "within" if kind == "within" else "range"
+            with expect_check(f"{check}_result_parity") as exc:
+                run()
+            assert exc.value.details["missing"], kind
+
+    def test_duplicate_ids_fail(self, index, monkeypatch):
+        def doubled(self, *args, **kw):
+            out = kernel(self, *args, **kw)
+            return np.concatenate([out, out[:1]])
+
+        kernel = TwoLayerGrid._range_kernel
+        monkeypatch.setattr(TwoLayerGrid, "_range_kernel", doubled)
+        with expect_check("range_dedup"):
+            index.disk_query(self.DISK)
+
+    def test_banded_grid_skips_the_check(self, index, monkeypatch):
+        # A band's partial result would fail the global reference; the
+        # banded no-op hook must keep the sanitizer out of it.
+        index.compact()
+        index._build_fast_q()
+        band = plan_bands(index._store.offsets[::4], 2)[0]
+        shard = BandedTwoLayerGrid(index.grid, band)
+        shard._store = index._store
+        shard._n_objects = index._n_objects
+        shard._fast_q = index._fast_q
+        full = index.disk_query(self.DISK)
+        part = shard.disk_query(self.DISK)
+        assert 0 < part.shape[0] < full.shape[0]
+        shard.window_query_within(self.WINDOW)
+        convex_range_query(shard, self.POLY)
 
 
 class TestEnvGating:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.knn import knn_query
+from repro.core.ranges import ConvexPolygonRange, convex_range_query
 from repro.core.two_layer import TwoLayerGrid
 from repro.datasets.dataset import RectDataset
 from repro.datasets.queries import DiskQuery
@@ -116,6 +117,35 @@ class TestReadParity:
             ref = sorted(index.disk_query(q).tolist())
             assert union(s.disk_query(q) for s in shards) == ref
 
+    def test_convex_range_union_equals_global(self, setup):
+        data, index, bands, shards = setup
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            cx, cy = rng.uniform(0.1, 0.9, 2)
+            r = rng.uniform(0.02, 0.3)
+            angles = np.sort(rng.uniform(0, 2 * np.pi, 5))
+            poly = ConvexPolygonRange(
+                [(cx + r * np.cos(a), cy + r * np.sin(a)) for a in angles]
+            )
+            ref = sorted(convex_range_query(index, poly).tolist())
+            assert union(convex_range_query(s, poly) for s in shards) == ref
+
+    def test_disk_stats_sum_to_global(self, setup):
+        # Tile ownership partitions the plan's tiles, so every counter of
+        # the banded range kernel sums over the shards to the global one.
+        data, index, bands, shards = setup
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            q = DiskQuery(
+                rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0.01, 0.3)
+            )
+            ref = QueryStats()
+            index.disk_query(q, ref)
+            total = QueryStats()
+            for s in shards:
+                s.disk_query(q, total)
+            assert total.as_dict() == ref.as_dict()
+
     def test_unrouted_shards_return_empty(self, setup):
         data, index, bands, shards = setup
         rng = np.random.default_rng(5)
@@ -203,6 +233,13 @@ class TestWriteParity:
             )
             refd = sorted(g.index.disk_query(q).tolist())
             assert union(r.index.disk_query(q) for r in reps) == refd
+            refw = sorted(g.index.window_query_within(win).tolist())
+            assert union(r.index.window_query_within(win) for r in reps) == refw
+            poly = ConvexPolygonRange(
+                [(win.xl, win.yl), (win.xu, win.yl), (win.xl, win.yu)]
+            )
+            refp = sorted(convex_range_query(g.index, poly).tolist())
+            assert union(convex_range_query(r.index, poly) for r in reps) == refp
 
     def test_snapshot_fork_preserves_band(self):
         data = make_data(n=400, seed=41)
